@@ -9,7 +9,15 @@ viable candidate contributes the same next column (the minimum), so the
 tree only branches on ties; twin candidates (interchangeable by a
 transposition fixing everything else) and prefixes that cannot beat the
 best completed string are pruned.  Exhaustive at heart, which is fine at
-the target sizes (n <= 10 for enumeration, n <= 64 for one-off calls).
+the target sizes (n <= 10 for enumeration, n <= ``MAX_CANON_VERTICES``
+for one-off calls).
+
+``is_canonical`` runs the same search against a fixed bound, the
+identity labeling's columns, and stops at the first smaller column.
+The minimal string has the prefix property (the first k vertices of a
+minimal labeling are a minimal labeling of the subgraph they induce),
+which is what lets orderly generation keep a child of a canonical
+parent exactly when this test passes.
 """
 
 from __future__ import annotations
@@ -102,6 +110,64 @@ def canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     rec(0, [0] * n)
     assert best_path is not None
     return tuple(best_path)
+
+
+def is_canonical(rows: tuple[int, ...], n: int) -> bool:
+    """True iff the identity labeling already gives the minimal string.
+
+    Equivalent to ``canonical_rows(rows, n) == rows`` but builds no
+    minimum: a branch whose column exceeds the identity's is pruned, and
+    the first strictly smaller column answers False.
+    """
+    if n > MAX_CANON_VERTICES:
+        raise InputError(
+            f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got n={n}"
+        )
+    if n <= 1:
+        return True
+    # identity column j: adjacency of j to 0..j-1, vertex 0 most significant
+    ident = [0] * n
+    for j in range(1, n):
+        rj = rows[j]
+        c = 0
+        for i in range(j):
+            c = c << 1 | (rj >> i & 1)
+        ident[j] = c
+    last = n - 1
+
+    def smaller(depth: int, rest: int, verts: list[int], cols: list[int]) -> bool:
+        # cols[i]: the column verts[i] would contribute at this depth
+        target = ident[depth]
+        m = min(cols)
+        if m != target:
+            return m < target
+        if depth == last:
+            return False
+        tried: list[int] = []
+        for v, c in zip(verts, cols):
+            if c != target:
+                continue
+            rv = rows[v]
+            r2 = rest ^ (1 << v)
+            skip = False
+            for w in tried:
+                other = r2 & ~(1 << w)
+                if rv & other == rows[w] & other:
+                    skip = True
+                    break
+            if skip:
+                continue
+            tried.append(v)
+            if smaller(
+                depth + 1,
+                r2,
+                [u for u in verts if u != v],
+                [cu << 1 | (rv >> u & 1) for u, cu in zip(verts, cols) if u != v],
+            ):
+                return True
+        return False
+
+    return not smaller(0, (1 << n) - 1, list(range(n)), [0] * n)
 
 
 def canonical_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -8,8 +8,8 @@ by 63 into printable ASCII.
 
 from __future__ import annotations
 
-from .errors import Graph6ParseError, InputError
-from .graphs import Graph
+from .errors import CapacityError, Graph6ParseError, InputError
+from .graphs import MAX_VERTICES, Graph
 
 _HEADER = ">>graph6<<"
 
@@ -50,7 +50,11 @@ def _encode_bits(rows: tuple[int, ...], n: int) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 line (an optional ``>>graph6<<`` header is allowed)."""
+    """Decode a graph6 line (an optional ``>>graph6<<`` header is allowed).
+
+    Raises ``CapacityError`` as soon as the size header exceeds
+    ``MAX_VERTICES``, before any data is read.
+    """
     s = text.rstrip("\r\n")
     base = 0
     if s.startswith(_HEADER):
@@ -59,6 +63,8 @@ def from_graph6(text: str) -> Graph:
     if not s:
         raise Graph6ParseError("empty graph6 string", base)
     n, pos = _decode_n(s, base)
+    if n > MAX_VERTICES:
+        raise CapacityError(f"n={n} exceeds capacity MAX_VERTICES={MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     data = s[pos:]

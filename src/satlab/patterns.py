@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from .counting import BipartitePattern
+from .counting import MAX_PATTERN_VERTICES, BipartitePattern
 from .errors import InputError
 from .graph6 import from_graph6, to_graph6
 from .graphs import Graph
@@ -32,8 +32,10 @@ def parse_pattern(text: str) -> PatternSpec:
             return ("kab", BipartitePattern(int(parts[1]), int(parts[2])))
         if parts[0] == "c" and len(parts) == 2:
             r = int(parts[1])
-            if r < 3:
-                raise InputError(f"cycle length must be >= 3, got {text!r}")
+            if not 3 <= r <= MAX_PATTERN_VERTICES:
+                raise InputError(
+                    f"cycle length must be in 3..{MAX_PATTERN_VERTICES}, got {text!r}"
+                )
             return ("cycle", r)
     except ValueError as exc:
         raise InputError(f"bad pattern {text!r}: {exc}") from exc

@@ -1,11 +1,16 @@
 """Exact sat(n, H, F) at small n by exhaustive isomorph-free enumeration.
 
-Graphs are generated one representative per isomorphism class by vertex
-augmentation with per-level canonical-form deduplication.  A hereditary
-"stay F-free" filter prunes the tree when minimizing over F-saturated
-graphs (an induced subgraph of an F-free graph is F-free, so pruning is
-exact).  A labeled brute-force oracle over all 2^C(n,2) graphs provides
-an independent cross-check at n <= 7.
+Graphs are generated one representative per isomorphism class by
+orderly generation (Read, "Every one a winner", 1978): a canonical graph
+on k vertices is extended by one vertex in every possible way, and a
+child is kept iff its own labeling is canonical.  The minimal-string
+canonical form has the prefix property, so every class is produced
+exactly once, from its canonical labeling with the last vertex removed,
+and no table of seen forms is needed.  A hereditary "stay F-free" filter
+prunes the tree when minimizing over F-saturated graphs (an induced
+subgraph of an F-free graph is F-free, so pruning is exact).  A labeled
+brute-force oracle over all 2^C(n,2) graphs provides an independent
+cross-check at n <= 7.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .canon import canonical_form, canonical_rows
+from .canon import canonical_form, canonical_rows, is_canonical
 from .counting import (
     contains_subgraph,
     count_cliques,
@@ -39,7 +44,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All simple graphs on n vertices, one per isomorphism class.
 
     Yields canonically labeled representatives in sorted canonical-form
-    order; n <= 10.
+    order by orderly generation; n <= 10.
     """
     if n > MAX_ENUM_VERTICES:
         raise InputError(f"enumeration supports n <= {MAX_ENUM_VERTICES}, got n={n}")
@@ -52,27 +57,41 @@ def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] |
                ) -> Iterator[Graph]:
     """Isomorph-free stream; ``child_keep(parent_rows, parent_n, subset)``
     must be hereditary (true for a graph => true for the parent it came
-    from) for the stream to cover every class satisfying it."""
+    from) for the stream to cover every class satisfying it.
+
+    Depth-first orderly generation.  A child's minimal string is its
+    parent's followed by the new vertex's column, so visiting parents in
+    order and columns in increasing value yields the canonical graph6
+    order without sorting.  Columns start at twice the parent's last
+    column: below that, swapping the last two vertices gives a smaller
+    string, so no such child is canonical.
+    """
     if n == 0:
         yield Graph(0)
         return
-    level: list[tuple[int, ...]] = [(0,)]  # K_1
-    for k in range(1, n):
-        seen: dict[str, tuple[int, ...]] = {}
-        for prows in level:
-            for subset in range(1 << k):
-                if child_keep is not None and not child_keep(prows, k, subset):
-                    continue
-                child = tuple(
-                    r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
-                ) + (subset,)
-                crows = canonical_rows(child, k + 1)
-                key = to_graph6(Graph._from_rows_unchecked(k + 1, crows))
-                if key not in seen:
-                    seen[key] = crows
-        level = [seen[key] for key in sorted(seen)]  # canonical graph6 order
-    for rows in level:
-        yield Graph._from_rows_unchecked(n, rows)
+    # subsets[k][col]: neighbor set in 0..k-1 whose column (vertex 0 most
+    # significant) is col
+    subsets = [
+        [int(format(col, f"0{k}b")[::-1], 2) for col in range(1 << k)]
+        for k in range(n)
+    ]
+
+    def grow(prows: tuple[int, ...], k: int, last_col: int) -> Iterator[Graph]:
+        if k == n:
+            yield Graph._from_rows_unchecked(n, prows)
+            return
+        cols = subsets[k]
+        for col in range(last_col << 1, 1 << k):
+            subset = cols[col]
+            if child_keep is not None and not child_keep(prows, k, subset):
+                continue
+            child = tuple(
+                r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
+            ) + (subset,)
+            if is_canonical(child, k + 1):
+                yield from grow(child, k + 1, col)
+
+    yield from grow((0,), 1, 0)  # K_1
 
 
 def _keep_ks_free(s: int) -> Callable[[tuple[int, ...], int, int], bool]:
@@ -168,36 +187,37 @@ def saturated_stream(
     """F-saturated graphs on n vertices as (graph, canonical form) pairs.
 
     Uses the pruned enumeration unless an explicit ``source`` of graphs
-    (e.g. parsed from graph6 lines) is supplied.
+    (e.g. parsed from graph6 lines) is supplied.  Enumerated graphs are
+    already canonically labeled; only source graphs are canonicalized.
     """
     kind, value = f
     if kind == "clique":
         if value < 2:
             raise InputError(f"saturation needs clique order >= 2, got {value}")
-        if source is None and n > MAX_ENUM_VERTICES:
-            raise InputError(
-                f"search supports n <= {MAX_ENUM_VERTICES} for clique F, got n={n}"
-            )
-        stream = source if source is not None else _enumerate(n, _keep_ks_free(value))
-        for g in stream:
-            if g.n != n:
-                raise InputError(f"source graph has n={g.n}, expected {n}")
-            if is_ks_saturated(g, value).is_saturated:
-                yield g, canonical_form(g)
+        cap, label, keep = MAX_ENUM_VERTICES, "clique F", _keep_ks_free(value)
+
+        def saturated(g: Graph) -> bool:
+            return is_ks_saturated(g, value).is_saturated
     else:
         fgraph = pattern_graph(f)
         if fgraph.edge_count() == 0:
             raise InputError("saturation pattern needs at least one edge")
-        if source is None and n > MAX_PATTERN_F_VERTICES:
-            raise InputError(
-                f"search supports n <= {MAX_PATTERN_F_VERTICES} for pattern F, got n={n}"
-            )
-        stream = source if source is not None else _enumerate(n, _keep_pattern_free(fgraph))
-        for g in stream:
-            if g.n != n:
-                raise InputError(f"source graph has n={g.n}, expected {n}")
-            if is_h_saturated(g, fgraph).is_saturated:
-                yield g, canonical_form(g)
+        cap, label, keep = MAX_PATTERN_F_VERTICES, "pattern F", _keep_pattern_free(fgraph)
+
+        def saturated(g: Graph) -> bool:
+            return is_h_saturated(g, fgraph).is_saturated
+    if source is None:
+        if n > cap:
+            raise InputError(f"search supports n <= {cap} for {label}, got n={n}")
+        for g in _enumerate(n, keep):
+            if saturated(g):
+                yield g, to_graph6(g)
+        return
+    for g in source:
+        if g.n != n:
+            raise InputError(f"source graph has n={g.n}, expected {n}")
+        if saturated(g):
+            yield g, canonical_form(g)
 
 
 def min_count_over_saturated(

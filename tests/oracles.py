@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive: subset and permutation
 enumeration with itertools, set-based neighborhoods, no bitsets and no
-reuse of the library's counting or canonicalization paths.
+reuse of the library's counting or canonicalization paths.  The one
+exception is ``dedup_enumerate``, the per-level canonical dedup that
+orderly generation replaced, kept as the slow path the fast one must
+reproduce graph by graph.
 """
 
 from itertools import combinations, permutations
 from math import comb, factorial
 
 from satlab import Graph, to_graph6
+from satlab.canon import canonical_rows
 from satlab.graphs import bits_of
 
 
@@ -156,3 +160,32 @@ def class_count_burnside(n: int) -> int:
         total += 1 << cycles
     assert total % factorial(n) == 0
     return total // factorial(n)
+
+
+def dedup_enumerate(n: int, child_keep=None):
+    """Isomorph-free stream by vertex augmentation and per-level dedup.
+
+    Every child of every parent is canonically relabeled and kept once
+    per graph6 key; each level is sorted by that key.  Same contract as
+    ``satlab.search._enumerate``: the filter sees the parent rows, the
+    parent order and the new vertex's neighbor set.
+    """
+    if n == 0:
+        yield Graph(0)
+        return
+    level = [(0,)]  # K_1
+    for k in range(1, n):
+        seen = {}
+        for prows in level:
+            for subset in range(1 << k):
+                if child_keep is not None and not child_keep(prows, k, subset):
+                    continue
+                child = tuple(
+                    r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
+                ) + (subset,)
+                crows = canonical_rows(child, k + 1)
+                key = to_graph6(Graph._from_rows_unchecked(k + 1, crows))
+                seen.setdefault(key, crows)
+        level = [seen[key] for key in sorted(seen)]
+    for rows in level:
+        yield Graph._from_rows_unchecked(n, rows)

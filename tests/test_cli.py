@@ -52,6 +52,13 @@ class TestCount:
         code, _, err = run(capsys, "count", "--pattern", "k4minus", "-i", str(src))
         assert code == 3 and "parse error" in err
 
+    def test_oversized_graph_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "big.g6"
+        # n=100 in the 4-byte size header, then C(100,2)/6 zero bytes
+        src.write_text("~?@c" + "?" * 825 + "\n")
+        code, out, err = run(capsys, "count", "--pattern", "star", "--t", "2", "-i", str(src))
+        assert code == 2 and out == "" and "MAX_VERTICES" in err
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "count", "--pattern", "k4minus", "-i", "/no/such/file")
         assert code == 3

@@ -200,6 +200,14 @@ class TestGraph6:
             from_graph6("A" + chr(30))
         assert err.value.offset == 1
 
+    def test_size_beyond_capacity_rejected(self):
+        # a well-formed line for the empty graph on 100 vertices
+        text = nx.to_graph6_bytes(nx.empty_graph(100), header=False).decode().strip()
+        with pytest.raises(CapacityError):
+            from_graph6(text)
+        with pytest.raises(CapacityError):
+            from_graph6(text[:4])  # rejected at the size header, before the data
+
     @given(graphs(max_n=12))
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_identity(self, g):

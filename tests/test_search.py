@@ -22,8 +22,8 @@ from satlab import (
     to_graph6,
 )
 from satlab.saturation import is_ks_saturated
-from satlab.search import _enumerate, _keep_ks_free
-from oracles import class_count_burnside
+from satlab.search import _enumerate, _keep_ks_free, _keep_pattern_free
+from oracles import class_count_burnside, dedup_enumerate
 
 # classes of simple graphs on 1..8 vertices; 1..7 re-derived from the
 # labeled oracle in the acceptance suite, n=8 cross-checked by the
@@ -75,10 +75,35 @@ class TestEnumeration:
             assert pruned == full
 
 
+class TestOrderlyAgainstDedup:
+    """Orderly generation reproduces the per-level dedup stream exactly."""
+
+    @pytest.mark.parametrize(
+        "keep",
+        [None, _keep_ks_free(3), _keep_ks_free(4), _keep_pattern_free(cycle(4))],
+        ids=["unfiltered", "k3_free", "k4_free", "c4_free"],
+    )
+    def test_same_stream_in_order(self, keep):
+        for n in range(8):
+            orderly = [g.rows for g in _enumerate(n, keep)]
+            assert orderly == [g.rows for g in dedup_enumerate(n, keep)], n
+
+
 def is_ks_free_quick(g):
     from satlab import is_ks_free
 
     return is_ks_free(g, 3)[0]
+
+
+class TestPatternTokens:
+    def test_cycle_lengths_within_counting_range(self):
+        assert parse_pattern("c_3") == ("cycle", 3)
+        assert parse_pattern("c_8") == ("cycle", 8)
+
+    @pytest.mark.parametrize("token", ["c_2", "c_9", "c_12"])
+    def test_cycle_lengths_outside_range_rejected(self, token):
+        with pytest.raises(InputError):
+            parse_pattern(token)
 
 
 class TestMinCount:
