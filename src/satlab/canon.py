@@ -4,9 +4,14 @@ The canonical form of a graph is the lexicographically minimal upper
 triangle bit string (column order, matching graph6) over all vertex
 orderings.  Two graphs get equal forms iff they are isomorphic.
 
-The search places vertices position by position.  At each depth every
-viable candidate contributes the same next column (the minimum), so the
-tree only branches on ties; twin candidates (interchangeable by a
+The search places vertices position by position.  The unplaced vertices
+are kept as an ordered list of ``(mask, col)`` cells: a cell is the
+bitmask of the vertices whose column against the placed path is
+``col``, and the cells are sorted by that value.  The first cell is the
+tie set: every vertex in it contributes the same next column (the
+minimum), so the tree only branches on ties.  Placing a vertex splits
+every cell into its non-neighbours (column bit 0) and neighbours (bit
+1), which keeps the order.  Twin candidates (interchangeable by a
 transposition fixing everything else) and prefixes that cannot beat the
 best completed string are pruned.  Exhaustive at heart, which is fine at
 the target sizes (n <= 10 for enumeration, n <= ``MAX_CANON_VERTICES``
@@ -30,85 +35,101 @@ from .graphs import Graph
 #: before dense ones, so cap safely above the enumeration limit of 10.
 MAX_CANON_VERTICES = 16
 
+Cells = list[tuple[int, int]]
 
-def canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Vertex order (position -> vertex) achieving the minimal string."""
+
+def _check_size(n: int) -> None:
     if n > MAX_CANON_VERTICES:
         raise InputError(
             f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got n={n}"
         )
+
+
+def _place(cells: Cells, low: int, rv: int) -> Cells:
+    """Cells left after placing the tie vertex ``low`` (a one-bit mask)
+    whose row is ``rv`` (no loops, so ``rv`` lacks ``low``): each cell
+    splits into non-neighbours then neighbours, which keeps the order."""
+    keep = ~(rv | low)
+    out = []
+    for mask, col in cells:
+        a = mask & keep
+        if a:
+            out.append((a, col << 1))
+        b = mask & rv
+        if b:
+            out.append((b, col << 1 | 1))
+    return out
+
+
+def _is_twin(rows: tuple[int, ...], rv: int, rest: int, tried: list[int]) -> bool:
+    """True iff the candidate with row ``rv`` agrees on ``rest`` (the
+    vertices still unplaced after it) with one already tried, apart from
+    that vertex itself.  Both lie in the tie cell, so they agree on the
+    placed vertices too: swapping them is an automorphism fixing every
+    other vertex, and the candidate's subtree repeats the tried one's."""
+    for w in tried:
+        other = rest & ~(1 << w)
+        if rv & other == rows[w] & other:
+            return True
+    return False
+
+
+def canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Vertex order (position -> vertex) achieving the minimal string.
+
+    Of the labelings with the minimal string, the first one the search
+    reaches, visiting tie vertices in ascending order.
+    """
+    _check_size(n)
     if n <= 1:
         return tuple(range(n))
-    best: list[int] | None = None
-    best_path: list[int] | None = None
+    last = n - 1
+    best: list[int] = []  # columns of the best labeling so far
+    best_path: list[int] = []
     cols: list[int] = []
     path: list[int] = []
-    full = (1 << n) - 1
 
-    def rec(placed: int, colval: list[int]) -> None:
-        nonlocal best, best_path
-        depth = len(path)
-        bound = -1
-        if best is not None:
-            for i in range(depth):
-                ci = cols[i]
-                bi = best[i]
-                if ci != bi:
-                    if ci > bi:
-                        return
-                    break
-            else:
-                bound = best[depth] if depth < n else -2
-        if depth == n:
-            if best is None or cols < best:
-                best = cols.copy()
-                best_path = path.copy()
-            return
-        rest = full & ~placed
-        m = -1
-        r = rest
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            r ^= low
-            cv = colval[v]
-            if m < 0 or cv < m:
-                m = cv
-        if bound >= 0 and m > bound:
-            return
+    def rec(rest: int, cells: Cells, below: bool) -> bool:
+        # below: cols is already smaller than best's prefix (or no best
+        # yet); returns True iff a new best was recorded in this subtree
+        tie, m = cells[0]
+        depth = len(cols)
+        if not below:
+            bound = best[depth]
+            if m > bound:
+                return False
+            below = m < bound
+        if depth == last:  # tie is the one vertex left
+            if below:
+                best[:] = cols
+                best.append(m)
+                best_path[:] = path
+                best_path.append(tie.bit_length() - 1)
+            return below
         cols.append(m)
+        improved = False
         tried: list[int] = []
-        r = rest
-        while r:
-            low = r & -r
+        t = tie
+        while t:
+            low = t & -t
+            t ^= low
             v = low.bit_length() - 1
-            r ^= low
-            if colval[v] != m:
-                continue
             rv = rows[v]
-            skip = False
-            for w in tried:
-                other = rest & ~low & ~(1 << w)
-                if rv & other == rows[w] & other:
-                    skip = True
-                    break
-            if skip:
+            r2 = rest ^ low
+            if _is_twin(rows, rv, r2, tried):
                 continue
             tried.append(v)
-            child = colval.copy()
-            r2 = rest ^ low
-            while r2:
-                lo2 = r2 & -r2
-                u = lo2.bit_length() - 1
-                r2 ^= lo2
-                child[u] = child[u] << 1 | (rv >> u & 1)
             path.append(v)
-            rec(placed | low, child)
+            if rec(r2, _place(cells, low, rv), below):
+                # the new best runs through this prefix
+                improved = True
+                below = False
             path.pop()
         cols.pop()
+        return improved
 
-    rec(0, [0] * n)
-    assert best_path is not None
+    full = (1 << n) - 1
+    rec(full, [(full, 0)], True)
     return tuple(best_path)
 
 
@@ -119,10 +140,7 @@ def is_canonical(rows: tuple[int, ...], n: int) -> bool:
     minimum: a branch whose column exceeds the identity's is pruned, and
     the first strictly smaller column answers False.
     """
-    if n > MAX_CANON_VERTICES:
-        raise InputError(
-            f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got n={n}"
-        )
+    _check_size(n)
     if n <= 1:
         return True
     # identity column j: adjacency of j to 0..j-1, vertex 0 most significant
@@ -135,39 +153,42 @@ def is_canonical(rows: tuple[int, ...], n: int) -> bool:
         ident[j] = c
     last = n - 1
 
-    def smaller(depth: int, rest: int, verts: list[int], cols: list[int]) -> bool:
-        # cols[i]: the column verts[i] would contribute at this depth
-        target = ident[depth]
-        m = min(cols)
-        if m != target:
-            return m < target
-        if depth == last:
-            return False
+    def smaller(depth: int, rest: int, cells: Cells) -> bool:
+        # the tie cell's column equals ident[depth]; try each tie vertex
+        # at position depth and compare the next column with ident[nxt]
+        nxt = depth + 1
+        target = ident[nxt]
+        tie, col = cells[0]
         tried: list[int] = []
-        for v, c in zip(verts, cols):
-            if c != target:
-                continue
+        t = tie
+        while t:
+            low = t & -t
+            t ^= low
+            v = low.bit_length() - 1
             rv = rows[v]
-            r2 = rest ^ (1 << v)
-            skip = False
-            for w in tried:
-                other = r2 & ~(1 << w)
-                if rv & other == rows[w] & other:
-                    skip = True
-                    break
-            if skip:
+            r2 = rest ^ low
+            if _is_twin(rows, rv, r2, tried):
                 continue
             tried.append(v)
-            if smaller(
-                depth + 1,
-                r2,
-                [u for u in verts if u != v],
-                [cu << 1 | (rv >> u & 1) for u, cu in zip(verts, cols) if u != v],
-            ):
+            # the next column is that of the first cell _place would
+            # return: the tie cell's remainder, else the second cell (depth
+            # < last, so at least one vertex besides v is unplaced)
+            head = tie ^ low
+            if head:
+                m = col << 1 if head & ~rv else col << 1 | 1
+            else:
+                mask1, col1 = cells[1]
+                m = col1 << 1 if mask1 & ~rv else col1 << 1 | 1
+            if m != target:
+                if m < target:
+                    return True
+                continue
+            if nxt != last and smaller(nxt, r2, _place(cells, low, rv)):
                 return True
         return False
 
-    return not smaller(0, (1 << n) - 1, list(range(n)), [0] * n)
+    full = (1 << n) - 1
+    return not smaller(0, full, [(full, 0)])
 
 
 def canonical_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -237,6 +237,14 @@ def _injections(f: Graph, g: Graph, order: list[int], count_all: bool) -> int:
     return rec(0, 0)
 
 
+def check_pattern_size(f: Graph) -> None:
+    """Raise InputError when ``f`` has more than MAX_PATTERN_VERTICES."""
+    if f.n > MAX_PATTERN_VERTICES:
+        raise InputError(
+            f"pattern has {f.n} vertices, beyond the {MAX_PATTERN_VERTICES} cap"
+        )
+
+
 def automorphism_count(f: Graph) -> int:
     """|Aut(f)|, counted as edge-preserving injections of f into itself."""
     order = _embedding_order(f)
@@ -248,10 +256,7 @@ def count_embeddings(g: Graph, f: Graph) -> int:
 
     Computed as injective edge-preserving maps divided by |Aut(f)|.
     """
-    if f.n > MAX_PATTERN_VERTICES:
-        raise InputError(
-            f"pattern has {f.n} vertices, beyond the {MAX_PATTERN_VERTICES} cap"
-        )
+    check_pattern_size(f)
     if f.n == 0:
         return 1
     order = _embedding_order(f)
@@ -263,10 +268,7 @@ def count_embeddings(g: Graph, f: Graph) -> int:
 
 def contains_subgraph(g: Graph, f: Graph) -> bool:
     """True iff ``g`` has a subgraph isomorphic to ``f``."""
-    if f.n > MAX_PATTERN_VERTICES:
-        raise InputError(
-            f"pattern has {f.n} vertices, beyond the {MAX_PATTERN_VERTICES} cap"
-        )
+    check_pattern_size(f)
     if f.n == 0:
         return True
     order = _embedding_order(f)
@@ -275,6 +277,7 @@ def contains_subgraph(g: Graph, f: Graph) -> bool:
 
 def find_subgraph(g: Graph, f: Graph) -> frozenset[int] | None:
     """Vertex set of one copy of ``f`` in ``g``, or None."""
+    check_pattern_size(f)
     if f.n == 0:
         return frozenset()
     order = _embedding_order(f)

@@ -8,9 +8,8 @@ an (s-2)-clique in the common neighborhood of the endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .counting import MAX_PATTERN_VERTICES, contains_subgraph, find_subgraph
+from .counting import check_pattern_size, contains_subgraph, find_subgraph
 from .errors import InputError, PreconditionError
 from .graphs import Graph, bits_of
 
@@ -97,10 +96,7 @@ def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
 
     Re-runs the embedding oracle per candidate edge; fine at small n.
     """
-    if h.n > MAX_PATTERN_VERTICES:
-        raise InputError(
-            f"pattern has {h.n} vertices, beyond the {MAX_PATTERN_VERTICES} cap"
-        )
+    check_pattern_size(h)
     if h.edge_count() == 0:
         raise InputError("saturation pattern needs at least one edge")
     if contains_subgraph(g, h):
@@ -120,6 +116,8 @@ def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
 def clique_witness(g: Graph, u: int, v: int, s: int) -> CliqueWitness:
     """First (s-2)-clique in N(u,v) in lexicographic subset order.
 
+    ``_find_clique`` tries candidates in ascending order and extends
+    each with higher vertices only, so its first hit is that clique.
     Requires uv to be a non-edge of a K_s-saturated graph; raises
     PreconditionError when no witness exists.
     """
@@ -127,22 +125,11 @@ def clique_witness(g: Graph, u: int, v: int, s: int) -> CliqueWitness:
         raise InputError(f"({u},{v}) is not a vertex pair of the graph")
     if g.rows[u] >> v & 1:
         raise InputError(f"({u},{v}) is already an edge")
-    common = bits_of(g.rows[u] & g.rows[v])
-    k = s - 2
-    if k == 0:
-        return CliqueWitness(u, v, frozenset())
-    rows = g.rows
-    for subset in combinations(common, k):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not rows[subset[i]] >> subset[j] & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return CliqueWitness(u, v, frozenset(subset))
+    if s < 2:
+        raise InputError(f"clique order must be >= 2, got s={s}")
+    found = _find_clique(g.rows, g.rows[u] & g.rows[v], s - 2)
+    if found >= 0:
+        return CliqueWitness(u, v, frozenset(bits_of(found)))
     raise PreconditionError(
         f"no K_{s - 2} in N({u},{v}): the graph is not K_{s}-saturated"
     )

@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive: subset and permutation
 enumeration with itertools, set-based neighborhoods, no bitsets and no
-reuse of the library's counting or canonicalization paths.  The one
-exception is ``dedup_enumerate``, the per-level canonical dedup that
-orderly generation replaced, kept as the slow path the fast one must
-reproduce graph by graph.
+reuse of the library's counting or canonicalization paths.  The
+exceptions are slow paths that a fast one replaced and must reproduce
+exactly: ``dedup_enumerate``, the per-level canonical dedup that orderly
+generation replaced, graph by graph; ``list_canonical_order`` and
+``list_is_canonical``, the canonical search over per-vertex column lists
+that the bitmask-cell search replaced, order by order and verdict by
+verdict.
 """
 
 from itertools import combinations, permutations
@@ -189,3 +192,141 @@ def dedup_enumerate(n: int, child_keep=None):
         level = [seen[key] for key in sorted(seen)]
     for rows in level:
         yield Graph._from_rows_unchecked(n, rows)
+
+
+def clique_witness_oracle(g: Graph, u: int, v: int, s: int):
+    """First (s-2)-subset of N(u) ∩ N(v), in lexicographic order, that is
+    a clique; None if there is none."""
+    nbrs = nbr_sets(g)
+    common = sorted(nbrs[u] & nbrs[v])
+    for sub in combinations(common, s - 2):
+        if all(y in nbrs[x] for x, y in combinations(sub, 2)):
+            return frozenset(sub)
+    return None
+
+
+def list_canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Vertex order of the minimal string, with every candidate's column
+    kept in a per-vertex list and the prefix compared with the best one
+    at every node."""
+    if n <= 1:
+        return tuple(range(n))
+    best: list[int] | None = None
+    best_path: list[int] | None = None
+    cols: list[int] = []
+    path: list[int] = []
+    full = (1 << n) - 1
+
+    def rec(placed: int, colval: list[int]) -> None:
+        nonlocal best, best_path
+        depth = len(path)
+        bound = -1
+        if best is not None:
+            for i in range(depth):
+                ci = cols[i]
+                bi = best[i]
+                if ci != bi:
+                    if ci > bi:
+                        return
+                    break
+            else:
+                bound = best[depth] if depth < n else -2
+        if depth == n:
+            if best is None or cols < best:
+                best = cols.copy()
+                best_path = path.copy()
+            return
+        rest = full & ~placed
+        m = -1
+        r = rest
+        while r:
+            low = r & -r
+            v = low.bit_length() - 1
+            r ^= low
+            cv = colval[v]
+            if m < 0 or cv < m:
+                m = cv
+        if bound >= 0 and m > bound:
+            return
+        cols.append(m)
+        tried: list[int] = []
+        r = rest
+        while r:
+            low = r & -r
+            v = low.bit_length() - 1
+            r ^= low
+            if colval[v] != m:
+                continue
+            rv = rows[v]
+            skip = False
+            for w in tried:
+                other = rest & ~low & ~(1 << w)
+                if rv & other == rows[w] & other:
+                    skip = True
+                    break
+            if skip:
+                continue
+            tried.append(v)
+            child = colval.copy()
+            r2 = rest ^ low
+            while r2:
+                lo2 = r2 & -r2
+                u = lo2.bit_length() - 1
+                r2 ^= lo2
+                child[u] = child[u] << 1 | (rv >> u & 1)
+            path.append(v)
+            rec(placed | low, child)
+            path.pop()
+        cols.pop()
+
+    rec(0, [0] * n)
+    return tuple(best_path)
+
+
+def list_is_canonical(rows: tuple[int, ...], n: int) -> bool:
+    """Canonicity of the identity labeling by the same per-vertex-list
+    search, bounded by the identity's columns."""
+    if n <= 1:
+        return True
+    ident = [0] * n
+    for j in range(1, n):
+        rj = rows[j]
+        c = 0
+        for i in range(j):
+            c = c << 1 | (rj >> i & 1)
+        ident[j] = c
+    last = n - 1
+
+    def smaller(depth: int, rest: int, verts: list[int], cols: list[int]) -> bool:
+        # cols[i]: the column verts[i] would contribute at this depth
+        target = ident[depth]
+        m = min(cols)
+        if m != target:
+            return m < target
+        if depth == last:
+            return False
+        tried: list[int] = []
+        for v, c in zip(verts, cols):
+            if c != target:
+                continue
+            rv = rows[v]
+            r2 = rest ^ (1 << v)
+            skip = False
+            for w in tried:
+                other = r2 & ~(1 << w)
+                if rv & other == rows[w] & other:
+                    skip = True
+                    break
+            if skip:
+                continue
+            tried.append(v)
+            if smaller(
+                depth + 1,
+                r2,
+                [u for u in verts if u != v],
+                [cu << 1 | (rv >> u & 1) for u, cu in zip(verts, cols) if u != v],
+            ):
+                return True
+        return False
+
+    return not smaller(0, (1 << n) - 1, list(range(n)), [0] * n)

@@ -219,6 +219,59 @@ def _hypergraph_violations(g, v, s, form):
     return out
 
 
+def _ks_saturated_cases():
+    """Criterion 6's instances: every K_s-saturated class, s in 3..5 and
+    s <= n <= 7, with the forms where eq. (5) holds with equality."""
+    for s in (3, 4, 5):
+        for n in range(s, 8):
+            equality_set = {canonical_form(ehm_graph(n, s))}
+            if s == 3 and n == 5:
+                equality_set.add(canonical_form(cycle(5)))
+            for g, form in saturated_classes(n, ("clique", s)):
+                yield n, s, g, form, equality_set
+
+
+# Criterion 6 fails as a whole on the star floor; its sound sub-checks
+# are gated one by one below so a regression in any of them shows.
+CRITERION_6_CASES = 37
+
+
+def test_criterion_6_kkko_sweep():
+    cases = list(_ks_saturated_cases())
+    assert len(cases) == CRITERION_6_CASES
+    bad = [(n, s, form) for n, s, g, form, _ in cases if not check_kkko(g, s)[0].holds]
+    assert not bad, bad
+
+
+def test_criterion_6_eq5_characterization_sweep():
+    bad, equalities = [], 0
+    for n, s, g, form, equality_set in _ks_saturated_cases():
+        _, eq5 = check_kkko(g, s)
+        if not eq5.holds or eq5.equality != (form in equality_set):
+            bad.append((n, s, form))
+        equalities += eq5.equality
+    assert not bad, bad
+    # EHM for each of the 12 (n, s) pairs, plus C_5
+    assert equalities == 13
+
+
+def test_criterion_6_k4minus_chain_sweep():
+    bad = []
+    for n, s, g, form, _ in _ks_saturated_cases():
+        upper, lower = check_k4minus_chain(g, s)
+        if not (upper.holds and lower.holds):
+            bad.append((n, s, form))
+    assert not bad, bad
+
+
+def test_criterion_6_witness_hypergraph_sweep():
+    bad = []
+    for n, s, g, form, _ in _ks_saturated_cases():
+        for v in range(n):
+            bad.extend(_hypergraph_violations(g, v, s, form))
+    assert not bad, bad
+
+
 def test_criterion_7_counting_oracle_equivalence():
     t0 = time.time()
     rng = random.Random(424242)

@@ -17,7 +17,9 @@ from satlab import (
     count_k4_minus,
     count_kab,
     count_stars,
+    contains_subgraph,
     cycle,
+    find_subgraph,
     ehm_graph,
     path,
     petersen,
@@ -192,6 +194,16 @@ class TestEmbeddings:
     def test_pattern_cap(self):
         with pytest.raises(InputError):
             count_embeddings(complete_graph(9), complete_graph(9))
+
+    def test_find_subgraph_pattern_cap(self):
+        g, f = complete_graph(10), path(9)
+        with pytest.raises(InputError) as found:
+            find_subgraph(g, f)
+        with pytest.raises(InputError) as contained:
+            contains_subgraph(g, f)
+        assert str(found.value) == str(contained.value)
+        # the cap itself is allowed
+        assert find_subgraph(g, path(8)) is not None
 
 
 class TestMonotonicityLemmas:

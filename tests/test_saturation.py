@@ -25,7 +25,7 @@ from satlab import (
     star,
 )
 from satlab.search import saturated_classes
-from oracles import ks_saturated_oracle
+from oracles import clique_witness_oracle, ks_saturated_oracle
 
 
 class TestFreeness:
@@ -136,6 +136,35 @@ class TestCliqueWitness:
     def test_unsaturated_raises(self):
         with pytest.raises(PreconditionError):
             clique_witness(path(4), 0, 2, 4)
+
+    def test_clique_order_below_two_rejected(self):
+        with pytest.raises(InputError):
+            clique_witness(path(4), 0, 2, 1)
+
+    def test_matches_first_subset_oracle_on_saturated_classes(self):
+        checked = 0
+        for s in (3, 4, 5):
+            for n in range(1, 8):
+                for g, form in saturated_classes(n, ("clique", s)):
+                    for u, v in g.non_edges():
+                        expected = clique_witness_oracle(g, u, v, s)
+                        assert expected is not None, (form, u, v, s)
+                        assert clique_witness(g, u, v, s).s_set == expected, (
+                            form, u, v, s
+                        )
+                        checked += 1
+        assert checked == 219
+
+    def test_matches_first_subset_oracle_on_random_graphs(self, small_random_graphs):
+        for g in small_random_graphs:
+            for u, v in g.non_edges():
+                for s in (2, 3, 4, 5):
+                    expected = clique_witness_oracle(g, u, v, s)
+                    if expected is None:
+                        with pytest.raises(PreconditionError):
+                            clique_witness(g, u, v, s)
+                    else:
+                        assert clique_witness(g, u, v, s).s_set == expected
 
 
 class TestWitnessHypergraph:
