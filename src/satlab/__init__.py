@@ -56,7 +56,7 @@ from .families import (
     petersen,
     star,
 )
-from .graph6 import from_graph6, to_graph6
+from .graph6 import from_graph6, read_graph6_lines, to_graph6
 from .graphs import (
     MAX_VERTICES,
     Graph,
@@ -97,7 +97,6 @@ from .search import (
     count_classes_labeled,
     count_pattern,
     enumerate_graphs,
-    graphs_from_graph6_lines,
     merge_records,
     min_count_over_saturated,
     saturated_stream,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from itertools import chain
 from math import comb
 
 from . import bounds as bnd
@@ -21,15 +21,12 @@ from .counting import BipartitePattern, count_cliques, count_cycles, count_embed
 from .counting import count_k4_minus, count_kab, count_stars
 from .errors import EmptyDomainError, Graph6ParseError, InputError, SatlabError
 from .families import FamilySpec, make
-from .graph6 import from_graph6, to_graph6
+from .graph6 import from_graph6, read_graph6_lines, to_graph6
 from .graphs import Graph
 from .patterns import parse_pattern, pattern_graph
-from .process import estimate_expected_count, run_ffree_process
+from .process import TrialStats, estimate_expected_count, run_ffree_process
 from .saturation import is_h_saturated, is_ks_saturated
-from .search import (
-    min_count_over_saturated,
-    saturated_classes,
-)
+from .search import count_pattern, min_count_over_saturated, saturated_classes
 
 _NON_ASSERTED_ROWS = {"kr_min_small_n"}
 
@@ -41,7 +38,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _resolve_threads(args)
         return args.func(args)
     except (InputError, EmptyDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -57,26 +53,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _resolve_threads(args) -> None:
-    # reserved concurrency cap; execution is currently single-process
-    raw = getattr(args, "threads", None)
-    if raw is None:
-        raw = os.environ.get("SATLAB_THREADS")
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise InputError(f"bad thread count {raw!r}") from exc
-        if value < 1:
-            raise InputError(f"thread count must be >= 1, got {value}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satlab",
         description="Exact desk-scale tools for K_s-saturated graphs.",
     )
-    parser.add_argument("--threads", type=int, help="worker cap (reserved; runs single-process)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("construct", help="emit a named family graph as graph6")
@@ -147,11 +128,7 @@ def _read_graphs(path: str | None) -> list[Graph]:
     else:
         with open(path, "r", encoding="ascii") as f:
             lines = f.read().splitlines()
-    graphs = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            graphs.append(from_graph6(line))
+    graphs = read_graph6_lines(lines)
     if not graphs:
         raise InputError("no graphs in input")
     return graphs
@@ -269,13 +246,23 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_process(args) -> int:
-    stats = estimate_expected_count(args.n, f"k_{args.s}", args.count, args.trials, args.seed)
-    print(stats.to_json())
-    if args.dump_traces:
+    f = f"k_{args.s}"
+    if not args.dump_traces:
+        stats = estimate_expected_count(args.n, f, args.count, args.trials, args.seed)
+    else:
+        # one run per trial: each trace is written and counted as it is produced
+        if args.trials < 1:
+            raise InputError(f"need trials >= 1, got {args.trials}")
+        h = parse_pattern(args.count)
+        runs = (run_ffree_process(args.n, f, args.seed + i) for i in range(args.trials))
+        first = next(runs)  # a bad --n or --s raises before the file is created
+        counts = []
         with open(args.dump_traces, "w", encoding="ascii") as fh:
-            for i in range(args.trials):
-                trace = run_ffree_process(args.n, f"k_{args.s}", args.seed + i)
+            for trace in chain((first,), runs):
                 fh.write(trace.to_json() + "\n")
+                counts.append(count_pattern(trace.result, h))
+        stats = TrialStats.from_counts(counts)
+    print(stats.to_json())
     return 0
 
 

@@ -192,13 +192,20 @@ def _embedding_order(f: Graph) -> list[int]:
     return order
 
 
-def _injections(f: Graph, g: Graph, order: list[int], count_all: bool) -> int:
+def _injections(f: Graph, g: Graph, order: list[int], count_all: bool,
+                image: list[int] | None = None) -> int:
     """Count injective maps f -> g sending edges to edges (0/1 if not
-    count_all, for an early-exit containment test)."""
+    count_all, for an early-exit containment test).
+
+    ``image`` (f.n slots) receives image[i] = g-vertex for pattern vertex
+    order[i]; after a hit with count_all false it holds the first map
+    found, candidates tried in ascending vertex order.
+    """
     n = f.n
     if n > g.n:
         return 0
-    image = [0] * n  # image[i] = g-vertex for pattern vertex order[i]
+    if image is None:
+        image = [0] * n
     placed_pattern = [0]
     gfull = g.vertex_mask
     grows = g.rows
@@ -278,32 +285,7 @@ def contains_subgraph(g: Graph, f: Graph) -> bool:
 def find_subgraph(g: Graph, f: Graph) -> frozenset[int] | None:
     """Vertex set of one copy of ``f`` in ``g``, or None."""
     check_pattern_size(f)
-    if f.n == 0:
-        return frozenset()
-    order = _embedding_order(f)
-    n = f.n
-    image: list[int] = []
-
-    def rec(used: int, placed: int) -> bool:
-        i = len(image)
-        if i == n:
-            return True
-        pv = order[i]
-        cand = g.vertex_mask & ~used
-        for k in range(i):
-            if f.rows[pv] >> order[k] & 1:
-                cand &= g.rows[image[k]]
-        m = cand
-        while m:
-            low = m & -m
-            gv = low.bit_length() - 1
-            m ^= low
-            image.append(gv)
-            if rec(used | low, placed | (1 << pv)):
-                return True
-            image.pop()
-        return False
-
-    if rec(0, 0):
+    image = [0] * f.n
+    if _injections(f, g, _embedding_order(f), count_all=False, image=image):
         return frozenset(image)
     return None

@@ -109,6 +109,8 @@ def _decode_n(s: str, base: int) -> tuple[int, int]:
             if not 0 <= v <= 63:
                 raise Graph6ParseError(f"byte {s[k]!r} outside graph6 range", base + k)
             n = n << 6 | v
+        if n <= 258047:
+            raise Graph6ParseError(f"non-canonical long size header for n={n}", base + 2)
         return n, 8
     if len(s) < 4:
         raise Graph6ParseError("truncated 4-byte size header", base + len(s))
@@ -133,7 +135,11 @@ def _bit_to_pair(bit: int) -> tuple[int, int]:
 
 
 def read_graph6_lines(lines) -> list[Graph]:
-    """Parse an iterable of graph6 lines, skipping blanks."""
+    """Parse an iterable of graph6 lines.
+
+    Surrounding whitespace (a CRLF line ending included) is stripped and
+    blank lines are skipped; a malformed line raises its parse error.
+    """
     out = []
     for line in lines:
         line = line.strip()

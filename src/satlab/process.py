@@ -143,6 +143,21 @@ class TrialStats:
     min: int
     max: int
 
+    @classmethod
+    def from_counts(cls, counts: list[int]) -> "TrialStats":
+        """Statistics of a nonempty sample.  Sums are exact integers and
+        the standard deviation is the sample (n-1) one, 0.0 for one count."""
+        trials = len(counts)
+        total = sum(counts)
+        total_sq = sum(c * c for c in counts)
+        if trials == 1:
+            stddev = 0.0
+        else:
+            var_num = total_sq * trials - total * total
+            stddev = math.sqrt(var_num / (trials * (trials - 1)))
+        return cls(trials=trials, mean=total / trials, stddev=stddev,
+                   min=min(counts), max=max(counts))
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -165,27 +180,12 @@ def estimate_expected_count(
 ) -> TrialStats:
     """Monte-Carlo sample of the H-count of the process output.
 
-    Trial i uses seed+i; sums are exact integers and the reported
-    standard deviation is the sample (n-1) one, 0.0 for a single trial.
+    Trial i uses seed+i; see ``TrialStats.from_counts`` for the
+    statistics.
     """
     if trials < 1:
         raise InputError(f"need trials >= 1, got {trials}")
     h = parse_pattern(h) if isinstance(h, str) else h
-    total = 0
-    total_sq = 0
-    lo: int | None = None
-    hi: int | None = None
-    for i in range(trials):
-        trace = run_ffree_process(n, f, seed + i)
-        c = count_pattern(trace.result, h)
-        total += c
-        total_sq += c * c
-        lo = c if lo is None else min(lo, c)
-        hi = c if hi is None else max(hi, c)
-    mean = total / trials
-    if trials == 1:
-        stddev = 0.0
-    else:
-        var_num = total_sq * trials - total * total
-        stddev = math.sqrt(var_num / (trials * (trials - 1)))
-    return TrialStats(trials=trials, mean=mean, stddev=stddev, min=lo, max=hi)
+    return TrialStats.from_counts(
+        [count_pattern(run_ffree_process(n, f, seed + i).result, h) for i in range(trials)]
+    )

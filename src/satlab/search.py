@@ -30,6 +30,7 @@ from .counting import (
     count_kab,
 )
 from .errors import EmptyDomainError, InputError
+# from_graph6 is unused here but kept: perfbench/tracer.py binds satlab.search.from_graph6
 from .graph6 import from_graph6, to_graph6
 from .graphs import Graph
 from .patterns import PatternSpec, format_pattern, parse_pattern, pattern_graph
@@ -302,11 +303,33 @@ def merge_records(records: Iterable[SatRecord], *,
     )
 
 
-def graphs_from_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield from_graph6(line)
+def _labeled_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Rows of all 2^C(n,2) labeled graphs on n vertices, by edge mask."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        m = mask
+        idx = 0
+        while m:
+            if m & 1:
+                u, v = pairs[idx]
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            m >>= 1
+            idx += 1
+        yield tuple(rows)
+
+
+def _degree_sorted_key(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Rows relabeled by descending degree (ties by label): an
+    isomorphism-invariant memo key for the labeled scans."""
+    order = sorted(range(n), key=lambda x: (-rows[x].bit_count(), x))
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    return tuple(
+        sum(1 << pos[b] for b in range(n) if rows[x] >> b & 1) for x in order
+    )
 
 
 def brute_force_labeled(
@@ -335,32 +358,14 @@ def brute_force_labeled(
     if fgraph is not None and fgraph.edge_count() == 0:
         raise InputError("saturation pattern needs at least one edge")
 
-    pairs = list(combinations(range(n), 2))
     best: int | None = None
     minimizer_rows: list[tuple[int, ...]] = []
     searched = 0
     cache: dict[tuple[int, ...], tuple[bool, int]] = {}
 
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                u, v = pairs[idx]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            m >>= 1
-            idx += 1
-        rows = tuple(rows)
+    for rows in _labeled_rows(n):
         if use_cache:
-            order = sorted(range(n), key=lambda x: (-rows[x].bit_count(), x))
-            pos = [0] * n
-            for i, x in enumerate(order):
-                pos[x] = i
-            key = tuple(
-                sum(1 << pos[b] for b in range(n) if rows[x] >> b & 1) for x in order
-            )
+            key = _degree_sorted_key(rows, n)
             hit = cache.get(key)
             if hit is None:
                 hit = _evaluate_labeled(key, n, h, f, fgraph)
@@ -424,27 +429,10 @@ def count_classes_labeled(n: int) -> int:
         raise InputError(f"labeled scan supports n <= 7, got n={n}")
     if n < 0:
         raise InputError(f"need n >= 0, got n={n}")
-    pairs = list(combinations(range(n), 2))
     forms: set[str] = set()
     cache: dict[tuple[int, ...], str] = {}
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                u, v = pairs[idx]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            m >>= 1
-            idx += 1
-        order = sorted(range(n), key=lambda x: (-rows[x].bit_count(), x))
-        pos = [0] * n
-        for i, x in enumerate(order):
-            pos[x] = i
-        key = tuple(
-            sum(1 << pos[b] for b in range(n) if rows[x] >> b & 1) for x in order
-        )
+    for rows in _labeled_rows(n):
+        key = _degree_sorted_key(rows, n)
         form = cache.get(key)
         if form is None:
             form = to_graph6(

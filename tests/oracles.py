@@ -8,7 +8,9 @@ exactly: ``dedup_enumerate``, the per-level canonical dedup that orderly
 generation replaced, graph by graph; ``list_canonical_order`` and
 ``list_is_canonical``, the canonical search over per-vertex column lists
 that the bitmask-cell search replaced, order by order and verdict by
-verdict.
+verdict; ``find_subgraph_oracle``, the embedding search that
+``find_subgraph`` replaced with a first-hit ``_injections`` call,
+witness by witness.
 """
 
 from itertools import combinations, permutations
@@ -16,6 +18,7 @@ from math import comb, factorial
 
 from satlab import Graph, to_graph6
 from satlab.canon import canonical_rows
+from satlab.counting import _embedding_order
 from satlab.graphs import bits_of
 
 
@@ -202,6 +205,39 @@ def clique_witness_oracle(g: Graph, u: int, v: int, s: int):
     for sub in combinations(common, s - 2):
         if all(y in nbrs[x] for x, y in combinations(sub, 2)):
             return frozenset(sub)
+    return None
+
+
+def find_subgraph_oracle(g: Graph, f: Graph):
+    """Vertex set of the first copy of ``f`` in ``g``: pattern vertices
+    placed in ``_embedding_order``, each tried on ascending g-vertices
+    adjacent to the images of its placed neighbours; None if no copy."""
+    order = _embedding_order(f)
+    n = f.n
+    image: list[int] = []
+
+    def rec(used: int) -> bool:
+        i = len(image)
+        if i == n:
+            return True
+        pv = order[i]
+        cand = g.vertex_mask & ~used
+        for k in range(i):
+            if f.rows[pv] >> order[k] & 1:
+                cand &= g.rows[image[k]]
+        m = cand
+        while m:
+            low = m & -m
+            gv = low.bit_length() - 1
+            m ^= low
+            image.append(gv)
+            if rec(used | low):
+                return True
+            image.pop()
+        return False
+
+    if rec(0):
+        return frozenset(image)
     return None
 
 

@@ -2,7 +2,17 @@
 
 import json
 
-from satlab import SatRecord, canonical_form, cycle, ehm_graph, to_graph6
+import satlab.cli
+import satlab.process
+from satlab import (
+    SatRecord,
+    canonical_form,
+    cycle,
+    ehm_graph,
+    estimate_expected_count,
+    run_ffree_process,
+    to_graph6,
+)
 from satlab.cli import main
 
 
@@ -140,6 +150,41 @@ class TestProcess:
         assert len(lines) == 5
         assert json.loads(lines[0])["seed"] == 3
 
+    def test_dump_runs_each_trial_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_ffree_process(*args)
+
+        # the library's binding too, so a rerun through estimate_expected_count counts
+        monkeypatch.setattr(satlab.cli, "run_ffree_process", counted)
+        monkeypatch.setattr(satlab.process, "run_ffree_process", counted)
+        dump = tmp_path / "traces.jsonl"
+        code, out, _ = run(
+            capsys,
+            "process", "--n", "12", "--s", "4", "--seed", "11", "--trials", "6",
+            "--count", "k_3", "--dump-traces", str(dump),
+        )
+        assert code == 0
+        assert len(calls) == 6
+        assert dump.read_text() == "".join(
+            run_ffree_process(12, "k_4", 11 + i).to_json() + "\n" for i in range(6)
+        )
+        assert out == estimate_expected_count(12, "k_4", "k_3", 6, 11).to_json() + "\n"
+
+    def test_bad_dump_arguments_create_no_file(self, capsys, tmp_path):
+        bad = (("--trials", "0"), ("--count", "bogus"), ("--s", "2"), ("--n", "-1"))
+        for flag, value in bad:
+            argv = {"--n": "8", "--s": "3", "--seed": "1", "--trials": "3"}
+            argv[flag] = value
+            dump = tmp_path / "traces.jsonl"
+            code, _, _ = run(
+                capsys, "process", *[x for kv in argv.items() for x in kv],
+                "--dump-traces", str(dump),
+            )
+            assert code == 2 and not dump.exists(), flag
+
     def test_deterministic_output(self, capsys):
         args = ("process", "--n", "7", "--s", "3", "--seed", "9", "--trials", "4")
         _, out1, _ = run(capsys, *args)
@@ -176,14 +221,9 @@ class TestVerify:
         assert code == 2
 
 
-class TestThreads:
-    def test_threads_flag_accepted(self, capsys):
+class TestRemovedOptions:
+    def test_threads_flag_is_usage_error(self, capsys):
         code, out, _ = run(
             capsys, "--threads", "4", "construct", "--family", "cycle", "--n", "5"
         )
-        assert code == 0 and out.strip() == to_graph6(cycle(5))
-
-    def test_env_var_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("SATLAB_THREADS", "0")
-        code, _, err = run(capsys, "construct", "--family", "cycle", "--n", "5")
-        assert code == 2 and "thread count" in err
+        assert code == 2 and out == ""

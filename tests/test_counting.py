@@ -31,6 +31,7 @@ from oracles import (
     codegree_sum_oracle,
     cycles_oracle,
     embeddings_oracle,
+    find_subgraph_oracle,
     k4minus_oracle,
     kab_oracle,
     stars_oracle,
@@ -204,6 +205,22 @@ class TestEmbeddings:
         assert str(found.value) == str(contained.value)
         # the cap itself is allowed
         assert find_subgraph(g, path(8)) is not None
+
+    def test_find_subgraph_witness_matches_oracle(self, small_random_graphs):
+        patterns = [cycle(4), cycle(5), complete_graph(3), complete_graph(4),
+                    complete_bipartite(2, 3), path(4)]
+        hits = 0
+        for g in small_random_graphs:
+            for f in patterns:
+                found = find_subgraph(g, f)
+                assert found == find_subgraph_oracle(g, f), (g, f)
+                hits += found is not None
+        assert hits > 100  # most cases find a copy, so witnesses are compared
+
+    def test_find_subgraph_pattern_larger_than_host(self):
+        g, f = complete_graph(4), path(5)
+        assert find_subgraph(g, f) is None
+        assert find_subgraph_oracle(g, f) is None
 
 
 class TestMonotonicityLemmas:

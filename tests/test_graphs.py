@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from satlab import (
     CapacityError,
@@ -23,6 +23,7 @@ from satlab import (
     join,
     path,
     petersen,
+    read_graph6_lines,
     star,
     to_graph6,
 )
@@ -212,6 +213,54 @@ class TestGraph6:
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_identity(self, g):
         assert from_graph6(to_graph6(g)) == g
+
+    def test_non_canonical_8_byte_header_rejected(self):
+        # n=0 and n=5 in the 8-byte form; only n > 258047 may use it
+        for text in ("~~??????", "~~?????D??"):
+            with pytest.raises(Graph6ParseError) as err:
+                from_graph6(text)
+            assert err.value.offset == 2
+
+    @given(
+        st.sampled_from(["", "~", "~~"]),
+        st.text(alphabet=st.characters(min_codepoint=58, max_codepoint=129), max_size=24),
+    )
+    @example("~~", "??????")
+    @example("~~", "?????D??")
+    @settings(max_examples=400, deadline=None)
+    def test_fuzz_parse_or_reject(self, prefix, body):
+        text = prefix + body
+        try:
+            g = from_graph6(text)
+        except Graph6ParseError as exc:
+            assert 0 <= exc.offset <= len(text)
+        except CapacityError:
+            pass
+        else:
+            # a parsed line is the one canonical encoding of its graph
+            assert to_graph6(g) == text.removeprefix(">>graph6<<")
+
+    @given(
+        st.one_of(graphs(max_n=12), st.integers(63, 64).map(empty_graph)),  # 1- and 4-byte headers
+        st.data(),
+        st.one_of(st.integers(0x20, 0x3E), st.integers(0x7F, 0xFF)).map(chr),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bad_byte_offset(self, g, data, bad):
+        text = to_graph6(g)
+        k = data.draw(st.integers(0, len(text) - 1))
+        with pytest.raises(Graph6ParseError) as err:
+            from_graph6(text[:k] + bad + text[k + 1:])
+        assert err.value.offset == k
+
+    def test_read_lines_skips_blanks_and_strips(self):
+        lines = ["", "  " + to_graph6(cycle(5)) + "  ", "\r\n", to_graph6(path(3)) + "\r\n", "   "]
+        assert read_graph6_lines(lines) == [cycle(5), path(3)]
+
+    def test_read_lines_passes_parse_errors(self):
+        with pytest.raises(Graph6ParseError) as err:
+            read_graph6_lines([to_graph6(cycle(5)), "B"])
+        assert err.value.offset == 1
 
 
 class TestCanonicalForm:
