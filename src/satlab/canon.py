@@ -14,8 +14,9 @@ every cell into its non-neighbours (column bit 0) and neighbours (bit
 1), which keeps the order.  Twin candidates (interchangeable by a
 transposition fixing everything else) and prefixes that cannot beat the
 best completed string are pruned.  Exhaustive at heart, which is fine at
-the target sizes (n <= 10 for enumeration, n <= ``MAX_CANON_VERTICES``
-for one-off calls).
+the target sizes (n <= 9 for general enumeration, n <= 12 for the
+K_s-saturated search with s >= 3, n <= ``MAX_CANON_VERTICES`` for
+one-off calls and the empty graphs of the K_2 search).
 
 ``is_canonical`` runs the same search against a fixed bound, the
 identity labeling's columns, and stops at the first smaller column.
@@ -32,7 +33,7 @@ from .graph6 import to_graph6
 from .graphs import Graph
 
 #: The search is exhaustive; highly symmetric sparse graphs blow up well
-#: before dense ones, so cap safely above the enumeration limit of 10.
+#: before dense ones, so cap safely above the enumeration limits.
 MAX_CANON_VERTICES = 16
 
 Cells = list[tuple[int, int]]
@@ -133,24 +134,29 @@ def canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(best_path)
 
 
-def is_canonical(rows: tuple[int, ...], n: int) -> bool:
+def is_canonical(rows: tuple[int, ...], n: int,
+                 ident: list[int] | None = None) -> bool:
     """True iff the identity labeling already gives the minimal string.
 
     Equivalent to ``canonical_rows(rows, n) == rows`` but builds no
     minimum: a branch whose column exceeds the identity's is pruned, and
-    the first strictly smaller column answers False.
+    the first strictly smaller column answers False.  ``ident``, if
+    given, must hold the identity labeling's columns in its first n
+    entries (later ones are ignored): orderly generation has them from
+    the parent and the new column, so it need not rebuild them.
     """
     _check_size(n)
     if n <= 1:
         return True
-    # identity column j: adjacency of j to 0..j-1, vertex 0 most significant
-    ident = [0] * n
-    for j in range(1, n):
-        rj = rows[j]
-        c = 0
-        for i in range(j):
-            c = c << 1 | (rj >> i & 1)
-        ident[j] = c
+    if ident is None:
+        # identity column j: adjacency of j to 0..j-1, vertex 0 most significant
+        ident = [0] * n
+        for j in range(1, n):
+            rj = rows[j]
+            c = 0
+            for i in range(j):
+                c = c << 1 | (rj >> i & 1)
+            ident[j] = c
     last = n - 1
 
     def smaller(depth: int, rest: int, cells: Cells) -> bool:

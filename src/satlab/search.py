@@ -8,9 +8,12 @@ canonical form has the prefix property, so every class is produced
 exactly once, from its canonical labeling with the last vertex removed,
 and no table of seen forms is needed.  A hereditary "stay F-free" filter
 prunes the tree when minimizing over F-saturated graphs (an induced
-subgraph of an F-free graph is F-free, so pruning is exact).  A labeled
-brute-force oracle over all 2^C(n,2) graphs provides an independent
-cross-check at n <= 7.
+subgraph of an F-free graph is F-free, so pruning is exact).  For
+F = K_s a second hook decides saturation on the last two levels before
+the canonicity test: a graph on n-1 vertices is dropped when no last
+vertex can complete its witness-less non-edges, and a last-level child
+is tested for saturation on its rows.  A labeled brute-force oracle over
+all 2^C(n,2) graphs provides an independent cross-check at n <= 7.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_form, canonical_rows, is_canonical
 from .counting import (
@@ -36,16 +39,28 @@ from .graphs import Graph
 from .patterns import PatternSpec, format_pattern, parse_pattern, pattern_graph
 from .saturation import _find_clique, is_h_saturated, is_ks_saturated
 
-MAX_ENUM_VERTICES = 10
+MAX_ENUM_VERTICES = 9
 MAX_PATTERN_F_VERTICES = 8
+#: Largest n of the saturated K_s search, per s: what one CLI search
+#: finishes in about a minute (single runs: n=12 K_3 51 s, n=10 K_4 9 s,
+#: n=10 K_5 7 s and 4-6 s for s = 6..16; n=11 takes 144 s for K_4 and
+#: over 150 s for K_5 and K_6).  s past the table gets the last entry;
+#: the K_2 search, whose only graph is the empty one, is bounded by
+#: canonical labeling alone.
+MAX_KS_SEARCH_VERTICES = {2: 16, 3: 12, 4: 10}
 DEFAULT_EXTREMAL_CAP = 100
+
+
+def ks_search_cap(s: int) -> int:
+    """Largest n for which the saturated K_s search is accepted."""
+    return MAX_KS_SEARCH_VERTICES[min(s, max(MAX_KS_SEARCH_VERTICES))]
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All simple graphs on n vertices, one per isomorphism class.
 
     Yields canonically labeled representatives in sorted canonical-form
-    order by orderly generation; n <= 10.
+    order by orderly generation; n <= 9.
     """
     if n > MAX_ENUM_VERTICES:
         raise InputError(f"enumeration supports n <= {MAX_ENUM_VERTICES}, got n={n}")
@@ -54,11 +69,30 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     yield from _enumerate(n, None)
 
 
-def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] | None
-               ) -> Iterator[Graph]:
+class LastLevels(NamedTuple):
+    """Checks for the last two levels of ``_enumerate``, run before the
+    canonicity test; unlike ``child_keep`` they need not be hereditary.
+
+    ``need(rows, k)`` sees each child on k = n-1 vertices: -1 drops it,
+    else it is the set of vertices the last vertex must be adjacent to.
+    On the last level a column missing any of that set is skipped before
+    the child is built, and ``complete(rows, n, need)`` sees each child
+    that ``child_keep`` keeps.
+    """
+
+    need: Callable[[tuple[int, ...], int], int]
+    complete: Callable[[tuple[int, ...], int, int], bool]
+
+
+def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] | None,
+               last: LastLevels | None = None) -> Iterator[Graph]:
     """Isomorph-free stream; ``child_keep(parent_rows, parent_n, subset)``
     must be hereditary (true for a graph => true for the parent it came
-    from) for the stream to cover every class satisfying it.
+    from) for the stream to cover every class satisfying it.  ``last``
+    adds the checks of ``LastLevels`` on levels n-1 and n.  When
+    ``need`` drops only graphs with no child that ``complete`` accepts,
+    and skips only such columns, the stream is the unhooked one filtered
+    by ``complete``, graph by graph and in the same order.
 
     Depth-first orderly generation.  A child's minimal string is its
     parent's followed by the new vertex's column, so visiting parents in
@@ -76,23 +110,41 @@ def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] |
         [int(format(col, f"0{k}b")[::-1], 2) for col in range(1 << k)]
         for k in range(n)
     ]
+    # identity columns along the current path: ident[j] is vertex j's
+    # column, which no deeper vertex changes
+    ident = [0] * n
 
-    def grow(prows: tuple[int, ...], k: int, last_col: int) -> Iterator[Graph]:
+    def grow(prows: tuple[int, ...], k: int, last_col: int, need: int) -> Iterator[Graph]:
         if k == n:
             yield Graph._from_rows_unchecked(n, prows)
             return
         cols = subsets[k]
+        final = last is not None and k + 1 == n
+        ahead = last is not None and k + 2 == n
+        cneed = 0
         for col in range(last_col << 1, 1 << k):
             subset = cols[col]
+            if final and subset & need != need:
+                continue
             if child_keep is not None and not child_keep(prows, k, subset):
                 continue
             child = tuple(
                 r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
             ) + (subset,)
-            if is_canonical(child, k + 1):
-                yield from grow(child, k + 1, col)
+            if final:
+                if not last.complete(child, n, need):
+                    continue
+            elif ahead:
+                cneed = last.need(child, k + 1)
+                if cneed < 0:
+                    continue
+            ident[k] = col
+            if is_canonical(child, k + 1, ident):
+                yield from grow(child, k + 1, col, cneed)
 
-    yield from grow((0,), 1, 0)  # K_1
+    root_need = last.need((0,), 1) if last is not None and n == 2 else 0
+    if root_need >= 0:
+        yield from grow((0,), 1, 0, root_need)  # K_1
 
 
 def _keep_ks_free(s: int) -> Callable[[tuple[int, ...], int, int], bool]:
@@ -102,6 +154,61 @@ def _keep_ks_free(s: int) -> Callable[[tuple[int, ...], int, int], bool]:
         return _find_clique(prows, subset, s - 1) < 0
 
     return keep
+
+
+def _ks_saturation_levels(s: int) -> LastLevels:
+    """K_s-saturation as ``LastLevels`` over K_s-free graphs.
+
+    A non-edge uv of a graph on n-1 vertices whose common neighborhood
+    holds no K_{s-2} can only be completed by the last vertex, inside a
+    K_{s-2} made of it and a K_{s-3} of that common neighborhood: with
+    no such K_{s-3}, no last vertex saturates the graph.  Otherwise the
+    last vertex must be adjacent to both endpoints.  The endpoints U of
+    all such non-edges then lie in its neighborhood, which
+    ``_keep_ks_free`` keeps K_{s-1}-free: if U spans a K_{s-1}, no last
+    vertex saturates the graph either.  On the last level only the
+    non-edges inside U and those at the new vertex can lack a witness;
+    every other non-edge keeps its parent's witness.
+    """
+
+    def need(rows: tuple[int, ...], k: int) -> int:
+        u_mask = 0
+        for u in range(k):
+            ru = rows[u]
+            # non-neighbors v > u
+            m = ~ru & ((1 << k) - 1) & -(2 << u)
+            while m:
+                low = m & -m
+                m ^= low
+                common = ru & rows[low.bit_length() - 1]
+                if _find_clique(rows, common, s - 2) < 0:
+                    if _find_clique(rows, common, s - 3) < 0:
+                        return -1
+                    u_mask |= 1 << u | low
+        return -1 if _find_clique(rows, u_mask, s - 1) >= 0 else u_mask
+
+    def complete(rows: tuple[int, ...], n: int, need: int) -> bool:
+        m = need
+        while m:
+            low = m & -m
+            m ^= low
+            ru = rows[low.bit_length() - 1]
+            others = need & ~ru & -(low << 1)
+            while others:
+                lv = others & -others
+                others ^= lv
+                if _find_clique(rows, ru & rows[lv.bit_length() - 1], s - 2) < 0:
+                    return False
+        rw = rows[n - 1]
+        m = ~rw & ((1 << (n - 1)) - 1)
+        while m:
+            low = m & -m
+            m ^= low
+            if _find_clique(rows, rw & rows[low.bit_length() - 1], s - 2) < 0:
+                return False
+        return True
+
+    return LastLevels(need, complete)
 
 
 def _keep_pattern_free(f: Graph) -> Callable[[tuple[int, ...], int, int], bool]:
@@ -190,12 +297,16 @@ def saturated_stream(
     Uses the pruned enumeration unless an explicit ``source`` of graphs
     (e.g. parsed from graph6 lines) is supplied.  Enumerated graphs are
     already canonically labeled; only source graphs are canonicalized.
+    For F = K_s the enumeration decides saturation itself on its last
+    two levels (``_ks_saturation_levels``); otherwise, and for source
+    graphs, every graph is tested.
     """
     kind, value = f
     if kind == "clique":
         if value < 2:
             raise InputError(f"saturation needs clique order >= 2, got {value}")
-        cap, label, keep = MAX_ENUM_VERTICES, "clique F", _keep_ks_free(value)
+        cap, label = ks_search_cap(value), f"clique F with s={value}"
+        keep, last = _keep_ks_free(value), _ks_saturation_levels(value)
 
         def saturated(g: Graph) -> bool:
             return is_ks_saturated(g, value).is_saturated
@@ -203,15 +314,16 @@ def saturated_stream(
         fgraph = pattern_graph(f)
         if fgraph.edge_count() == 0:
             raise InputError("saturation pattern needs at least one edge")
-        cap, label, keep = MAX_PATTERN_F_VERTICES, "pattern F", _keep_pattern_free(fgraph)
+        cap, label = MAX_PATTERN_F_VERTICES, "pattern F"
+        keep, last = _keep_pattern_free(fgraph), None
 
         def saturated(g: Graph) -> bool:
             return is_h_saturated(g, fgraph).is_saturated
     if source is None:
         if n > cap:
             raise InputError(f"search supports n <= {cap} for {label}, got n={n}")
-        for g in _enumerate(n, keep):
-            if saturated(g):
+        for g in _enumerate(n, keep, last):
+            if last is not None or saturated(g):
                 yield g, to_graph6(g)
         return
     for g in source:

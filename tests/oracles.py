@@ -10,7 +10,9 @@ generation replaced, graph by graph; ``list_canonical_order`` and
 that the bitmask-cell search replaced, order by order and verdict by
 verdict; ``find_subgraph_oracle``, the embedding search that
 ``find_subgraph`` replaced with a first-hit ``_injections`` call,
-witness by witness.
+witness by witness; ``filter_then_test_stream``, the saturated K_s
+stream as it was before the search decided saturation on its last two
+levels, pair by pair and in order.
 """
 
 from itertools import combinations, permutations
@@ -20,6 +22,8 @@ from satlab import Graph, to_graph6
 from satlab.canon import canonical_rows
 from satlab.counting import _embedding_order
 from satlab.graphs import bits_of
+from satlab.saturation import is_ks_saturated
+from satlab.search import _enumerate, _keep_ks_free
 
 
 def nbr_sets(g: Graph) -> list[set[int]]:
@@ -195,6 +199,14 @@ def dedup_enumerate(n: int, child_keep=None):
         level = [seen[key] for key in sorted(seen)]
     for rows in level:
         yield Graph._from_rows_unchecked(n, rows)
+
+
+def filter_then_test_stream(n: int, s: int):
+    """(graph, graph6) pairs of the K_s-saturated classes: every K_s-free
+    class from the orderly stream, kept iff ``is_ks_saturated`` says so."""
+    for g in _enumerate(n, _keep_ks_free(s)):
+        if is_ks_saturated(g, s).is_saturated:
+            yield g, to_graph6(g)
 
 
 def clique_witness_oracle(g: Graph, u: int, v: int, s: int):

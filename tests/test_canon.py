@@ -91,20 +91,28 @@ def test_rejects_beyond_cap():
         is_canonical((0,) * n, n)
 
 
+def naive_identity_columns(rows: tuple[int, ...], n: int) -> list[int]:
+    return [
+        sum((rows[j] >> i & 1) << (j - 1 - i) for i in range(j)) for j in range(n)
+    ]
+
+
 def test_verdicts_match_oracle_on_every_enumerated_child_n_le_7(monkeypatch):
     tested = []
 
-    def recording(rows, n):
-        tested.append((rows, n))
-        return is_canonical(rows, n)
+    def recording(rows, n, ident=None):
+        tested.append((rows, n, ident[:n]))
+        return is_canonical(rows, n, ident)
 
     monkeypatch.setattr(satlab.search, "is_canonical", recording)
     assert sum(1 for _ in satlab.search._enumerate(7, None)) == 1044
     assert len(tested) == 3160
     accepted = 0
-    for rows, n in tested:
-        verdict = is_canonical(rows, n)
-        assert verdict == list_is_canonical(rows, n), (n, rows)
+    for rows, n, ident in tested:
+        # the columns handed down from the parent are the identity's
+        assert ident == naive_identity_columns(rows, n), (n, rows)
+        verdict = is_canonical(rows, n, ident)
+        assert verdict == list_is_canonical(rows, n) == is_canonical(rows, n), (n, rows)
         accepted += verdict
     # one canonical child per class on levels 2..7
     assert accepted == 2 + 4 + 11 + 34 + 156 + 1044

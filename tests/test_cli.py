@@ -103,6 +103,19 @@ class TestSearch:
         assert rec.min_count == 5
         assert rec.extremal == (canonical_form(cycle(5)),)
 
+    def test_petersen_at_ten(self, capsys):
+        code, out, _ = run(capsys, "search", "--n", "10", "--h", "k_1_2", "--f", "k_3")
+        assert code == 0
+        assert json.loads(out) == {
+            "extremal": ["I?LRCecq?"], "f": "k_3", "h": "k_1_2", "min_count": 30,
+            "n": 10, "searched": 31, "truncated": False,
+        }
+
+    def test_beyond_the_per_s_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "11", "--h", "k_1_2", "--f", "k_4")
+        assert code == 2 and out == ""
+        assert "n <= 10 for clique F with s=4" in err
+
     def test_f_ks_with_s(self, capsys):
         code, out, _ = run(
             capsys, "search", "--n", "5", "--h", "k_1_2", "--f", "ks", "--s", "3"

@@ -19,11 +19,21 @@ from satlab import (
     merge_records,
     min_count_over_saturated,
     parse_pattern,
+    petersen,
     to_graph6,
 )
 from satlab.saturation import is_ks_saturated
-from satlab.search import _enumerate, _keep_ks_free, _keep_pattern_free
-from oracles import class_count_burnside, dedup_enumerate
+from satlab.search import (
+    MAX_ENUM_VERTICES,
+    MAX_KS_SEARCH_VERTICES,
+    _enumerate,
+    _keep_ks_free,
+    _keep_pattern_free,
+    ks_search_cap,
+    saturated_classes,
+    saturated_stream,
+)
+from oracles import class_count_burnside, dedup_enumerate, filter_then_test_stream
 
 # classes of simple graphs on 1..8 vertices; 1..7 re-derived from the
 # labeled oracle in the acceptance suite, n=8 cross-checked by the
@@ -63,6 +73,12 @@ class TestEnumeration:
         with pytest.raises(InputError):
             list(enumerate_graphs(11))
 
+    def test_cap_is_nine(self):
+        # n=10 has 12,005,168 classes: the enumeration would not finish
+        assert MAX_ENUM_VERTICES == 9
+        with pytest.raises(InputError):
+            next(enumerate_graphs(10))
+
     def test_filtered_enumeration_equals_filtered_full(self):
         # hereditary pruning must not lose any K_3-free class
         for n in range(2, 7):
@@ -87,6 +103,42 @@ class TestOrderlyAgainstDedup:
         for n in range(8):
             orderly = [g.rows for g in _enumerate(n, keep)]
             assert orderly == [g.rows for g in dedup_enumerate(n, keep)], n
+
+
+class TestSaturationAwareLastLevels:
+    """Deciding K_s-saturation on the last two levels, ahead of the
+    canonicity test, reproduces filter-then-test pair by pair, in order."""
+
+    @pytest.mark.parametrize("s,n_max", [(2, 9), (3, 9), (4, 9), (5, 8)])
+    def test_same_stream_in_order(self, s, n_max):
+        for n in range(1, n_max + 1):
+            got = [(g.rows, form) for g, form in saturated_stream(n, ("clique", s))]
+            want = [(g.rows, form) for g, form in filter_then_test_stream(n, s)]
+            assert got == want, (s, n)
+
+    def test_maximal_triangle_free_class_counts(self):
+        # Brandt, Brinkmann and Harmuth, Graphs Combin. 16 (2000); OEIS A216783
+        for n, count in {8: 10, 9: 16, 10: 31, 11: 61}.items():
+            assert len(saturated_classes(n, ("clique", 3))) == count, n
+
+    def test_petersen_is_the_unique_cherry_minimum_at_ten(self):
+        # the Moore graph of diameter 2 and girth 5 beats the star (36)
+        r = min_count_over_saturated(10, "k_1_2", "k_3")
+        assert r.min_count == 30 == count_pattern(petersen(), parse_pattern("k_1_2"))
+        assert r.extremal == (canonical_form(petersen()),) == ("I?LRCecq?",)
+        assert r.searched == 31
+
+    def test_per_s_caps(self):
+        assert MAX_KS_SEARCH_VERTICES == {2: 16, 3: 12, 4: 10}
+        assert ks_search_cap(5) == ks_search_cap(12) == 10
+        for s in (2, 3, 4, 5, 6, 12):
+            with pytest.raises(InputError):
+                next(saturated_stream(ks_search_cap(s) + 1, ("clique", s)))
+
+    def test_source_graphs_are_still_tested(self):
+        # the last-level checks only run on enumerated graphs
+        pairs = list(saturated_stream(5, ("clique", 3), source=[cycle(5), ehm_graph(5, 4)]))
+        assert [form for _, form in pairs] == [canonical_form(cycle(5))]
 
 
 def is_ks_free_quick(g):
