@@ -8,11 +8,13 @@ once.  All counts are exact Python integers, so they cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import InputError
-from .graphs import Graph, bits_of
+from .graphs import Graph, bits_of, mask_of
 
 MAX_PATTERN_VERTICES = 8
 
@@ -161,87 +163,140 @@ def count_cycles(g: Graph, r: int) -> int:
     return total // 2
 
 
-def _embedding_order(f: Graph) -> list[int]:
-    """Order pattern vertices so each (after a component root) touches a
-    previously placed one; roots picked by descending degree."""
-    remaining = set(range(f.n))
-    order: list[int] = []
-    placed_mask = 0
+def _embedding_order(f: Graph, roots: tuple[int, ...] = ()) -> list[int]:
+    """Order pattern vertices after ``roots`` so each touches a previously
+    placed one where it can: most placed neighbours first, then highest
+    degree; a vertex with none starts a new component, by degree."""
+    order = list(roots)
+    remaining = set(range(f.n)).difference(roots)
+    placed_mask = mask_of(roots)
     while remaining:
-        root = max(remaining, key=lambda v: (f.rows[v].bit_count(), -v))
-        frontier = [root]
-        order.append(root)
-        remaining.remove(root)
-        placed_mask |= 1 << root
-        while frontier:
-            best = None
-            best_key = None
-            for v in remaining:
-                k = (f.rows[v] & placed_mask).bit_count()
-                if k == 0:
-                    continue
-                key = (k, f.rows[v].bit_count(), -v)
-                if best_key is None or key > best_key:
-                    best, best_key = v, key
-            if best is None:
-                break
-            order.append(best)
-            remaining.remove(best)
-            placed_mask |= 1 << best
-            frontier = [best]
+        best = None
+        best_key = None
+        for v in remaining:
+            k = (f.rows[v] & placed_mask).bit_count()
+            if k == 0:
+                continue
+            key = (k, f.rows[v].bit_count(), -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        if best is None:
+            best = max(remaining, key=lambda v: (f.rows[v].bit_count(), -v))
+        order.append(best)
+        remaining.remove(best)
+        placed_mask |= 1 << best
     return order
 
 
-def _injections(f: Graph, g: Graph, order: list[int], count_all: bool,
-                image: list[int] | None = None) -> int:
+class _Order(NamedTuple):
+    """A pattern vertex order and, per position, the earlier positions
+    holding a neighbour: the images a candidate must be adjacent to."""
+
+    order: tuple[int, ...]
+    back: tuple[tuple[int, ...], ...]
+
+
+def _rooted(f: Graph, roots: tuple[int, ...] = ()) -> _Order:
+    order = _embedding_order(f, roots)
+    return _Order(tuple(order), tuple(
+        tuple(j for j in range(i) if f.rows[v] >> order[j] & 1)
+        for i, v in enumerate(order)
+    ))
+
+
+def _injections(g: Graph, rooted: _Order, count_all: bool,
+                image: list[int] | None = None, start: int = 0) -> int:
     """Count injective maps f -> g sending edges to edges (0/1 if not
     count_all, for an early-exit containment test).
 
     ``image`` (f.n slots) receives image[i] = g-vertex for pattern vertex
     order[i]; after a hit with count_all false it holds the first map
-    found, candidates tried in ascending vertex order.
+    found, candidates tried in ascending vertex order.  With ``start``
+    > 0 the first ``start`` slots are already filled (the anchors), and
+    the caller has checked that they are distinct and edge-preserving.
     """
-    n = f.n
+    order, back = rooted
+    n = len(order)
     if n > g.n:
         return 0
     if image is None:
         image = [0] * n
-    placed_pattern = [0]
     gfull = g.vertex_mask
     grows = g.rows
-    frows = f.rows
 
     def rec(i: int, used: int) -> int:
         if i == n:
             return 1
-        pv = order[i]
-        req = frows[pv] & placed_pattern[0]
         cand = gfull & ~used
-        m = req
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            cand &= grows[image[_pos[j]]]
-            if not cand:
-                return 0
+        for j in back[i]:
+            cand &= grows[image[j]]
         total = 0
-        placed_pattern[0] |= 1 << pv
-        mm = cand
-        while mm:
-            low = mm & -mm
-            gv = low.bit_length() - 1
-            mm ^= low
-            image[i] = gv
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[i] = low.bit_length() - 1
             got = rec(i + 1, used | low)
-            total += got
-            if total and not count_all:
-                break
-        placed_pattern[0] ^= 1 << pv
-        return total if count_all else (1 if total else 0)
+            if got:
+                if not count_all:
+                    return 1
+                total += got
+        return total
 
-    _pos = {v: i for i, v in enumerate(order)}
-    return rec(0, 0)
+    used = 0
+    for i in range(start):
+        used |= 1 << image[i]
+    return rec(start, used)
+
+
+class _Plan:
+    """Search plan of one pattern: the unanchored order, and on first use
+    |Aut(F)| and one rooted order per Aut(F) orbit of vertices or of
+    arcs (ordered edges).  Orbits come from anchored self-injections:
+    t and c share an orbit iff some map of F into itself sends t to c."""
+
+    __slots__ = ("f", "full", "_aut", "_anchored")
+
+    def __init__(self, f: Graph):
+        self.f = f
+        self.full = _rooted(f)
+        self._aut = 0
+        self._anchored: dict[int, tuple[_Order, ...]] = {}
+
+    @property
+    def aut(self) -> int:
+        if not self._aut:
+            self._aut = _injections(self.f, self.full, count_all=True)
+        return self._aut
+
+    def anchored(self, k: int) -> tuple[_Order, ...]:
+        """Orders rooted at one representative of each orbit of vertices
+        (k = 1) or of arcs (k = 2)."""
+        reps = self._anchored.get(k)
+        if reps is None:
+            f = self.f
+            if k == 1:
+                tuples = [(v,) for v in range(f.n)]
+            else:
+                tuples = [(a, b) for a in range(f.n) for b in bits_of(f.rows[a])]
+            found = []
+            seen = set()
+            for t in tuples:
+                if t in seen:
+                    continue
+                rooted = _rooted(f, t)
+                found.append(rooted)
+                for c in tuples:
+                    if c not in seen and _injections(
+                        f, rooted, count_all=False, image=[*c] + [0] * (f.n - k), start=k
+                    ):
+                        seen.add(c)
+            reps = self._anchored[k] = tuple(found)
+        return reps
+
+
+@lru_cache(maxsize=256)
+def _plan(f: Graph) -> _Plan:
+    return _Plan(f)
 
 
 def check_pattern_size(f: Graph) -> None:
@@ -254,8 +309,7 @@ def check_pattern_size(f: Graph) -> None:
 
 def automorphism_count(f: Graph) -> int:
     """|Aut(f)|, counted as edge-preserving injections of f into itself."""
-    order = _embedding_order(f)
-    return _injections(f, f, order, count_all=True)
+    return _plan(f).aut
 
 
 def count_embeddings(g: Graph, f: Graph) -> int:
@@ -266,26 +320,41 @@ def count_embeddings(g: Graph, f: Graph) -> int:
     check_pattern_size(f)
     if f.n == 0:
         return 1
-    order = _embedding_order(f)
-    total = _injections(f, g, order, count_all=True)
-    aut = _injections(f, f, order, count_all=True)
-    assert total % aut == 0
-    return total // aut
+    plan = _plan(f)
+    total = _injections(g, plan.full, count_all=True)
+    assert total % plan.aut == 0
+    return total // plan.aut
 
 
-def contains_subgraph(g: Graph, f: Graph) -> bool:
-    """True iff ``g`` has a subgraph isomorphic to ``f``."""
+def contains_subgraph(g: Graph, f: Graph, through: tuple[int, ...] = ()) -> bool:
+    """True iff ``g`` has a subgraph isomorphic to ``f``; with ``through``
+    one vertex w, iff some copy uses w; with two vertices u, v, iff some
+    copy uses the edge uv.
+
+    The anchored search tries each orbit representative of F on the
+    anchor and extends from there, so it only visits copies through it.
+    Where g without the anchor is F-free, it answers the unanchored
+    question.
+    """
     check_pattern_size(f)
-    if f.n == 0:
-        return True
-    order = _embedding_order(f)
-    return bool(_injections(f, g, order, count_all=False))
+    k = len(through)
+    if k == 0:
+        return f.n == 0 or bool(_injections(g, _plan(f).full, count_all=False))
+    if k > 2 or min(through) < 0 or max(through) >= g.n or k == 2 and through[0] == through[1]:
+        raise InputError(f"through must be 0, 1 or 2 distinct vertices of g, got {through!r}")
+    if k == 2 and not g.rows[through[0]] >> through[1] & 1:
+        return False
+    image = [*through] + [0] * (f.n - k)
+    for rooted in _plan(f).anchored(k):
+        if _injections(g, rooted, count_all=False, image=image, start=k):
+            return True
+    return False
 
 
 def find_subgraph(g: Graph, f: Graph) -> frozenset[int] | None:
     """Vertex set of one copy of ``f`` in ``g``, or None."""
     check_pattern_size(f)
     image = [0] * f.n
-    if _injections(f, g, _embedding_order(f), count_all=False, image=image):
+    if _injections(g, _plan(f).full, count_all=False, image=image):
         return frozenset(image)
     return None

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import contains_subgraph
+from .counting import check_pattern_size, contains_subgraph
 from .errors import InputError
 from .graph6 import to_graph6
 from .graphs import Graph
@@ -99,8 +99,7 @@ def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
         fgraph = pattern_graph(f)
         if fgraph.edge_count() == 0:
             raise InputError("process pattern needs at least one edge")
-        if fgraph.n > 8:
-            raise InputError(f"process pattern has {fgraph.n} vertices, cap is 8")
+        check_pattern_size(fgraph)
     pairs = pair_order(n)
     order = shuffled_pair_indices(n, seed)
     rows = [0] * n
@@ -112,8 +111,9 @@ def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
         else:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+            # the graph before uv is F-free: a new copy must use uv
             creates = contains_subgraph(
-                Graph._from_rows_unchecked(n, tuple(rows)), fgraph
+                Graph._from_rows_unchecked(n, tuple(rows)), fgraph, through=(u, v)
             )
             if creates:
                 rows[u] &= ~(1 << v)

@@ -94,13 +94,16 @@ def is_ks_saturated(g: Graph, s: int) -> SaturationReport:
 def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
     """Saturation report for an arbitrary pattern (h.n <= 8, >= 1 edge).
 
-    Re-runs the embedding oracle per candidate edge; fine at small n.
+    One embedding search decides freeness and gives the witness.  Since
+    g is then h-free, a copy in g + uv must use the edge uv, so each
+    non-edge takes one search anchored on it.
     """
     check_pattern_size(h)
     if h.edge_count() == 0:
         raise InputError("saturation pattern needs at least one edge")
-    if contains_subgraph(g, h):
-        return SaturationReport(False, False, free_violation=find_subgraph(g, h))
+    copy = find_subgraph(g, h)
+    if copy is not None:
+        return SaturationReport(False, False, free_violation=copy)
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.rows[u] >> v & 1:
@@ -108,7 +111,9 @@ def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
             added = list(g.rows)
             added[u] |= 1 << v
             added[v] |= 1 << u
-            if not contains_subgraph(Graph._from_rows_unchecked(g.n, tuple(added)), h):
+            if not contains_subgraph(
+                Graph._from_rows_unchecked(g.n, tuple(added)), h, through=(u, v)
+            ):
                 return SaturationReport(True, False, saturation_violation=(u, v))
     return SaturationReport(True, True)
 

@@ -212,11 +212,17 @@ def _ks_saturation_levels(s: int) -> LastLevels:
 
 
 def _keep_pattern_free(f: Graph) -> Callable[[tuple[int, ...], int, int], bool]:
+    """Child filter: no copy of F.  Every kept parent is F-free (for F
+    with an edge, K_1 is too), so only copies through the new vertex k
+    can appear."""
+
     def keep(prows: tuple[int, ...], k: int, subset: int) -> bool:
         child = tuple(
             r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
         ) + (subset,)
-        return not contains_subgraph(Graph._from_rows_unchecked(k + 1, child), f)
+        return not contains_subgraph(
+            Graph._from_rows_unchecked(k + 1, child), f, through=(k,)
+        )
 
     return keep
 

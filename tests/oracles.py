@@ -12,7 +12,13 @@ verdict; ``find_subgraph_oracle``, the embedding search that
 ``find_subgraph`` replaced with a first-hit ``_injections`` call,
 witness by witness; ``filter_then_test_stream``, the saturated K_s
 stream as it was before the search decided saturation on its last two
-levels, pair by pair and in order.
+levels, pair by pair and in order; ``unanchored_ffree_process``,
+``unanchored_is_h_saturated``, ``unanchored_keep_pattern_free`` and
+``unanchored_saturated_stream``, the pattern-F process, saturation
+report, child filter and search as they were before
+each containment test was anchored on the new edge or vertex: a full
+``contains_subgraph`` of the whole graph every time, trace by trace,
+report by report and pair by pair.
 """
 
 from itertools import combinations, permutations
@@ -20,9 +26,11 @@ from math import comb, factorial
 
 from satlab import Graph, to_graph6
 from satlab.canon import canonical_rows
-from satlab.counting import _embedding_order
+from satlab.counting import _embedding_order, contains_subgraph, find_subgraph
 from satlab.graphs import bits_of
-from satlab.saturation import is_ks_saturated
+from satlab.patterns import format_pattern, parse_pattern, pattern_graph
+from satlab.process import ProcessTrace, pair_order, shuffled_pair_indices
+from satlab.saturation import SaturationReport, is_ks_saturated
 from satlab.search import _enumerate, _keep_ks_free
 
 
@@ -206,6 +214,70 @@ def filter_then_test_stream(n: int, s: int):
     class from the orderly stream, kept iff ``is_ks_saturated`` says so."""
     for g in _enumerate(n, _keep_ks_free(s)):
         if is_ks_saturated(g, s).is_saturated:
+            yield g, to_graph6(g)
+
+
+def unanchored_ffree_process(n: int, f: str, seed: int) -> ProcessTrace:
+    """The pattern-F process with a full containment test of the whole
+    graph after each tentative insertion."""
+    spec = parse_pattern(f)
+    fgraph = pattern_graph(spec)
+    pairs = pair_order(n)
+    order = shuffled_pair_indices(n, seed)
+    rows = [0] * n
+    accepted = []
+    for pi in order:
+        u, v = pairs[pi]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        if contains_subgraph(Graph._from_rows_unchecked(n, tuple(rows)), fgraph):
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+        else:
+            accepted.append((u, v))
+    return ProcessTrace(
+        seed=seed,
+        n=n,
+        f=format_pattern(spec),
+        order=tuple(order),
+        accepted=tuple(accepted),
+        result=Graph._from_rows_unchecked(n, tuple(rows)),
+    )
+
+
+def unanchored_is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
+    """Saturation report from a freeness test, a witness search and a
+    full containment test of g + uv per non-edge uv."""
+    if contains_subgraph(g, h):
+        return SaturationReport(False, False, free_violation=find_subgraph(g, h))
+    for u, v in g.non_edges():
+        added = list(g.rows)
+        added[u] |= 1 << v
+        added[v] |= 1 << u
+        if not contains_subgraph(Graph._from_rows_unchecked(g.n, tuple(added)), h):
+            return SaturationReport(True, False, saturation_violation=(u, v))
+    return SaturationReport(True, True)
+
+
+def unanchored_keep_pattern_free(f: Graph):
+    """Child filter: a full containment test of the child."""
+
+    def keep(prows, k, subset):
+        child = tuple(
+            r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
+        ) + (subset,)
+        return not contains_subgraph(Graph._from_rows_unchecked(k + 1, child), f)
+
+    return keep
+
+
+def unanchored_saturated_stream(n: int, f: str):
+    """(graph, graph6) pairs of the F-saturated classes for a pattern F:
+    the orderly stream filtered by ``unanchored_keep_pattern_free``,
+    each class kept iff ``unanchored_is_h_saturated`` says so."""
+    fgraph = pattern_graph(parse_pattern(f))
+    for g in _enumerate(n, unanchored_keep_pattern_free(fgraph)):
+        if unanchored_is_h_saturated(g, fgraph).is_saturated:
             yield g, to_graph6(g)
 
 

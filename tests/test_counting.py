@@ -19,12 +19,17 @@ from satlab import (
     count_stars,
     contains_subgraph,
     cycle,
+    empty_graph,
     find_subgraph,
     ehm_graph,
+    induced_subgraph,
+    parse_pattern,
     path,
+    pattern_graph,
     petersen,
     star,
 )
+from satlab import counting
 from conftest import random_graph
 from oracles import (
     cliques_oracle,
@@ -246,3 +251,129 @@ class TestMonotonicityLemmas:
         for g in small_random_graphs[:30]:
             for t in (3, 4):
                 assert count_kab(g, BipartitePattern(2, t)) >= codegree_sum(g, t)
+
+
+#: patterns for the anchored search: every cycle length, two patterns
+#: with two vertex orbits, a path, a disconnected pattern and one with an
+#: isolated vertex
+ANCHOR_PATTERNS = {
+    **{t: pattern_graph(parse_pattern(t))
+       for t in ("c_3", "c_4", "c_5", "c_6", "c_7", "c_8", "k_2_3", "k_1_3",
+                 "g6:C`", "g6:B_")},
+    "path_4": path(4),
+}
+
+
+def _without_edge(g, u, v):
+    rows = list(g.rows)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return Graph.from_rows(rows)
+
+
+class TestAnchoredContainment:
+    """``contains_subgraph(g, f, through=...)`` against copy counts: some
+    copy uses the edge uv iff g has more copies than g - uv, and uses
+    the vertex w iff g has more copies than g - w."""
+
+    def test_named_patterns(self):
+        assert ANCHOR_PATTERNS["g6:C`"].edges() == [(0, 1), (2, 3)]
+        assert ANCHOR_PATTERNS["g6:B_"].edges() == [(0, 1)]
+        assert ANCHOR_PATTERNS["g6:B_"].n == 3
+
+    @pytest.mark.parametrize("name", sorted(ANCHOR_PATTERNS))
+    def test_matches_count_difference(self, small_random_graphs, name):
+        f = ANCHOR_PATTERNS[name]
+        if name in ("c_6", "c_7", "c_8"):
+            # count_embeddings takes about a minute here; count_cycles
+            # gives the same count ~2r times faster
+            def count(g):
+                return count_cycles(g, f.n)
+        else:
+            def count(g):
+                return count_embeddings(g, f)
+        outcomes = set()
+        for g in small_random_graphs:
+            base = count(g)
+            for u, v in g.edges():
+                want = count(_without_edge(g, u, v)) < base
+                assert contains_subgraph(g, f, through=(u, v)) is want, (g, u, v)
+                assert contains_subgraph(g, f, through=(v, u)) is want, (g, v, u)
+                outcomes.add(want)
+            for w in range(g.n):
+                rest = induced_subgraph(g, [x for x in range(g.n) if x != w])
+                want = count(rest) < base
+                assert contains_subgraph(g, f, through=(w,)) is want, (g, w)
+        assert outcomes == {False, True}
+
+    def test_edgeless_pattern(self):
+        g, f = complete_graph(4), empty_graph(3)
+        assert contains_subgraph(g, f)
+        assert not contains_subgraph(g, f, through=(0, 1))
+        assert contains_subgraph(g, f, through=(0,))
+        assert not contains_subgraph(g, empty_graph(0), through=(0,))
+
+    def test_pattern_larger_than_host(self):
+        g, f = complete_graph(4), cycle(5)
+        assert not contains_subgraph(g, f)
+        assert not contains_subgraph(g, f, through=(0, 1))
+        assert not contains_subgraph(g, f, through=(2,))
+
+    def test_non_edge_anchor(self):
+        g = cycle(4)
+        assert contains_subgraph(g, path(3))
+        assert not contains_subgraph(g, path(3), through=(0, 2))
+        assert contains_subgraph(g, path(3), through=(0, 1))
+
+    def test_bad_anchor_rejected(self):
+        g = cycle(5)
+        for through in ((0, 1, 2), (5,), (-1,), (1, 1), (0, 5)):
+            with pytest.raises(InputError):
+                contains_subgraph(g, cycle(3), through=through)
+
+    def test_orbit_representatives(self):
+        # (pattern, vertex orbits, arc orbits) of Aut(F)
+        cases = [
+            (cycle(5), 1, 1),
+            (complete_graph(4), 1, 1),
+            (complete_bipartite(2, 3), 2, 2),
+            (star(4), 2, 2),
+            (path(4), 2, 3),
+            (ANCHOR_PATTERNS["g6:C`"], 1, 1),
+            (ANCHOR_PATTERNS["g6:B_"], 2, 1),
+            (empty_graph(3), 1, 0),
+        ]
+        for f, vertex_orbits, arc_orbits in cases:
+            plan = counting._plan(f)
+            assert len(plan.anchored(1)) == vertex_orbits, f
+            assert len(plan.anchored(2)) == arc_orbits, f
+            # each rooted order starts at its anchors and lists every
+            # pattern vertex once
+            for k in (1, 2):
+                for rooted in plan.anchored(k):
+                    assert sorted(rooted.order) == list(range(f.n))
+
+    def test_plan_built_once_per_pattern(self, small_random_graphs, monkeypatch):
+        orders, searches = [], []
+        real_order, real_injections = counting._embedding_order, counting._injections
+
+        def order(f, roots=()):
+            orders.append(roots)
+            return real_order(f, roots)
+
+        def injections(*args, **kwargs):
+            searches.append(args[0])
+            return real_injections(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_embedding_order", order)
+        monkeypatch.setattr(counting, "_injections", injections)
+        counting._plan.cache_clear()
+        graphs = small_random_graphs[:10]
+        for g in graphs:
+            # an equal pattern built anew each time shares the plan
+            assert count_embeddings(g, cycle(6)) == count_cycles(g, 6)
+        counting._plan.cache_clear()
+        assert orders == [()]
+        # one search per host graph, and one for |Aut(C_6)|
+        assert len(searches) == len(graphs) + 1
+        assert searches.count(cycle(6)) == 1

@@ -1,5 +1,6 @@
 """Random maximal-F-free process: determinism, soundness, statistics."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from satlab import (
     InputError,
     SplitMix64,
     canonical_form,
+    complete_bipartite,
     complete_graph,
     estimate_expected_count,
     is_h_saturated,
@@ -18,6 +20,8 @@ from satlab import (
     shuffled_pair_indices,
     star,
 )
+from satlab.counting import check_pattern_size
+from oracles import unanchored_ffree_process
 
 # frozen outputs of the public-domain splitmix64 reference implementation
 # (compiled C, seeds 0 / 1234567 / 0xDEADBEEFCAFEBABE)
@@ -122,6 +126,40 @@ class TestProcess:
             run_ffree_process(5, "k_2", 0)
         with pytest.raises(InputError):
             run_ffree_process(5, ("graph", star(1)), 0)
+
+    def test_pattern_cap_is_the_shared_one(self):
+        with pytest.raises(InputError) as raised:
+            run_ffree_process(10, "k_4_5", 0)
+        with pytest.raises(InputError) as shared:
+            check_pattern_size(complete_bipartite(4, 5))
+        assert str(raised.value) == str(shared.value)
+
+
+class TestAnchoredProcess:
+    """Each pair's containment test is anchored on the new edge; the
+    traces must equal those of a full test of the whole graph."""
+
+    # C_4, C_5, K_{2,3} and K_4 minus an edge (two arc orbits)
+    @pytest.mark.parametrize("f", ["c_4", "c_5", "k_2_3", "g6:C^"])
+    def test_traces_match_unanchored(self, f):
+        for n in (2, 6, 12, 20, 30):
+            for seed in range(3):
+                fast = run_ffree_process(n, f, seed)
+                assert fast.to_json() == unanchored_ffree_process(n, f, seed).to_json()
+
+    # sha256 of the 20 newline-terminated trace lines of seeds seed..seed+19,
+    # taken from the unanchored process
+    @pytest.mark.parametrize("n, f, seed, digest", [
+        (30, "c_4", 856419006,
+         "7dd7411c9ed60c1dfc2094d1692faf9c5c748768ccad79e6a0607475bce2c9bc"),
+        (20, "c_5", 4248111943,
+         "7ca7788fdd3fd838b7460a23d6cb67e4365f83d31e8d0ab85fa90203d9c3873c"),
+    ])
+    def test_frozen_20_trial_traces(self, n, f, seed, digest):
+        h = hashlib.sha256()
+        for i in range(20):
+            h.update(run_ffree_process(n, f, seed + i).to_json().encode() + b"\n")
+        assert h.hexdigest() == digest
 
 
 class TestStatistics:

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from satlab import (
+    Graph,
     InputError,
     PreconditionError,
     build_witness_hypergraph,
@@ -21,11 +22,14 @@ from satlab import (
     is_ks_free,
     is_ks_saturated,
     path,
+    parse_pattern,
+    pattern_graph,
     petersen,
+    run_ffree_process,
     star,
 )
 from satlab.search import saturated_classes
-from oracles import clique_witness_oracle, ks_saturated_oracle
+from oracles import clique_witness_oracle, ks_saturated_oracle, unanchored_is_h_saturated
 
 
 class TestFreeness:
@@ -112,6 +116,32 @@ class TestPatternSaturation:
     def test_edgeless_pattern_rejected(self):
         with pytest.raises(InputError):
             is_h_saturated(cycle(5), empty_graph(3))
+
+    @pytest.mark.parametrize("token", ["c_3", "c_4", "c_5", "c_6", "k_2_3", "k_1_3",
+                                       "g6:C`", "g6:B_", "g6:C^"])
+    def test_reports_match_unanchored(self, small_random_graphs, token):
+        """Anchored per-non-edge tests give the same report, witnesses
+        included, as a full containment test of every g + uv."""
+        f = pattern_graph(parse_pattern(token))
+        graphs = list(small_random_graphs)
+        # F-saturated process outputs, and each with one edge removed
+        # (F-free, not saturated), so every report kind is compared
+        for seed in range(6):
+            g = run_ffree_process(9, token, seed).result
+            graphs.append(g)
+            if not g.edge_count():  # K_2 + K_1 allows no edge at n = 9
+                continue
+            u, v = g.edges()[seed % g.edge_count()]
+            rows = list(g.rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            graphs.append(Graph.from_rows(rows))
+        kinds = set()
+        for g in graphs:
+            rep = is_h_saturated(g, f)
+            assert rep == unanchored_is_h_saturated(g, f), (g, token)
+            kinds.add((rep.is_free, rep.is_saturated))
+        assert kinds == {(False, False), (True, False), (True, True)}
 
 
 class TestCliqueWitness:

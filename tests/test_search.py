@@ -19,6 +19,7 @@ from satlab import (
     merge_records,
     min_count_over_saturated,
     parse_pattern,
+    pattern_graph,
     petersen,
     to_graph6,
 )
@@ -33,7 +34,13 @@ from satlab.search import (
     saturated_classes,
     saturated_stream,
 )
-from oracles import class_count_burnside, dedup_enumerate, filter_then_test_stream
+from oracles import (
+    class_count_burnside,
+    dedup_enumerate,
+    filter_then_test_stream,
+    unanchored_keep_pattern_free,
+    unanchored_saturated_stream,
+)
 
 # classes of simple graphs on 1..8 vertices; 1..7 re-derived from the
 # labeled oracle in the acceptance suite, n=8 cross-checked by the
@@ -145,6 +152,35 @@ def is_ks_free_quick(g):
     from satlab import is_ks_free
 
     return is_ks_free(g, 3)[0]
+
+
+class TestAnchoredPatternSearch:
+    """Child filters anchored on the new vertex and saturation tests
+    anchored on each non-edge reproduce the stream of full containment
+    tests, pair by pair and in order."""
+
+    @pytest.mark.parametrize("token", ["c_4", "c_5", "k_2_3", "k_1_3"])
+    def test_same_stream_in_order(self, token):
+        for n in range(1, 8):
+            got = [(g.rows, form) for g, form in saturated_stream(n, parse_pattern(token))]
+            want = [(g.rows, form) for g, form in unanchored_saturated_stream(n, token)]
+            assert got == want, (token, n)
+
+    @pytest.mark.parametrize("token", ["c_4", "c_5", "k_2_3", "k_1_3"])
+    def test_child_filter_verdicts(self, token):
+        f = pattern_graph(parse_pattern(token))
+        fast, slow = _keep_pattern_free(f), unanchored_keep_pattern_free(f)
+        verdicts = []
+
+        def keep(prows, k, subset):
+            verdict = fast(prows, k, subset)
+            assert verdict == slow(prows, k, subset), (prows, subset)
+            verdicts.append(verdict)
+            return verdict
+
+        for _ in _enumerate(7, keep):
+            pass
+        assert True in verdicts and False in verdicts
 
 
 class TestPatternTokens:
