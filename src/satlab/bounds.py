@@ -9,7 +9,7 @@ squared), so Moore-graph equality cases cannot be misflagged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 from .counting import codegree_sum, count_k4_minus, count_kab, count_stars
@@ -19,8 +19,6 @@ from .graphs import Graph
 
 CSV_SCHEMA_COMMENT = "# satlab bounds csv v1"
 CSV_HEADER = ("name", "n", "s", "t", "lhs", "rhs", "holds", "equality")
-
-FORMULAS = ("ehm_edges", "kr_min", "k12_min", "k12_k3_lower", "ehm_k22", "star_floor")
 
 
 @dataclass(frozen=True)
@@ -35,17 +33,7 @@ class BoundReport:
     context: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "holds": self.holds,
-                "equality": self.equality,
-                "context": self.context,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def csv_row(self) -> list:
         ctx = self.context
@@ -120,19 +108,19 @@ def star_floor(n: int, s: int, t: int) -> float:
     return base ** (t / 2) / (t ** t * n ** (t / 2 - 1))
 
 
+#: name -> closed form; the parameter names are its keyword arguments
+_FORMULA_TABLE = {
+    fn.__name__: fn
+    for fn in (ehm_edges, kr_min, k12_min, k12_k3_lower, ehm_k22, star_floor)
+}
+FORMULAS = tuple(_FORMULA_TABLE)
+
+
 def formula(name: str, **params) -> float | int:
     """Dispatch over the closed forms by name."""
-    table = {
-        "ehm_edges": ehm_edges,
-        "kr_min": kr_min,
-        "k12_min": k12_min,
-        "k12_k3_lower": k12_k3_lower,
-        "ehm_k22": ehm_k22,
-        "star_floor": star_floor,
-    }
-    if name not in table:
+    if name not in _FORMULA_TABLE:
         raise InputError(f"unknown formula {name!r}; known: {', '.join(FORMULAS)}")
-    return table[name](**params)
+    return _FORMULA_TABLE[name](**params)
 
 
 def _require(cond: bool, message: str) -> None:

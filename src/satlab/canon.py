@@ -29,7 +29,7 @@ parent exactly when this test passes.
 from __future__ import annotations
 
 from .errors import InputError
-from .graph6 import to_graph6
+from .graph6 import column, to_graph6
 from .graphs import Graph
 
 #: The search is exhaustive; highly symmetric sparse graphs blow up well
@@ -149,14 +149,7 @@ def is_canonical(rows: tuple[int, ...], n: int,
     if n <= 1:
         return True
     if ident is None:
-        # identity column j: adjacency of j to 0..j-1, vertex 0 most significant
-        ident = [0] * n
-        for j in range(1, n):
-            rj = rows[j]
-            c = 0
-            for i in range(j):
-                c = c << 1 | (rj >> i & 1)
-            ident[j] = c
+        ident = [column(rows[j], j) for j in range(n)]
     last = n - 1
 
     def smaller(depth: int, rest: int, cells: Cells) -> bool:

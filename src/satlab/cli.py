@@ -26,7 +26,8 @@ from .graphs import Graph
 from .patterns import parse_pattern, pattern_graph
 from .process import TrialStats, estimate_expected_count, run_ffree_process
 from .saturation import is_h_saturated, is_ks_saturated
-from .search import count_pattern, min_count_over_saturated, saturated_classes
+from .search import DEFAULT_EXTREMAL_CAP, count_pattern, min_count_over_saturated
+from .search import saturated_classes
 
 _NON_ASSERTED_ROWS = {"kr_min_small_n"}
 
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--shard", help="i/k: keep canonical forms with hash %% k == i")
     p.add_argument("-i", "--input", help="graph6 file as the enumeration source")
-    p.add_argument("--max-extremal", type=int, default=100)
+    p.add_argument("--max-extremal", type=int, default=DEFAULT_EXTREMAL_CAP)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("process", help="random maximal-K_s-free process statistics")

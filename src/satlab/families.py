@@ -10,20 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Callable
 
 from .errors import InputError
 from .graphs import Graph, join
-
-FAMILIES = (
-    "ehm",
-    "star",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "empty",
-    "petersen",
-    "hoffman_singleton",
-)
 
 
 @dataclass(frozen=True)
@@ -120,37 +110,27 @@ def hoffman_singleton() -> Graph:
     return Graph(50, edges)
 
 
+#: name -> (builder, parameter names in the builder's argument order)
+_FAMILY_TABLE: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "ehm": (ehm_graph, ("n", "s")),
+    "star": (star, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "complete_bipartite": (complete_bipartite, ("a", "b")),
+    "empty": (empty_graph, ("n",)),
+    "petersen": (petersen, ()),
+    "hoffman_singleton": (hoffman_singleton, ()),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
 def make(spec: FamilySpec) -> Graph:
     """Uniform factory over the named families."""
     fam = spec.family
-    p = spec.params
-
-    def need(*names: str) -> list[int]:
-        missing = [k for k in names if k not in p]
-        if missing:
-            raise InputError(f"{fam}: missing parameter(s) {', '.join(missing)}")
-        return [p[k] for k in names]
-
-    if fam == "ehm":
-        n, s = need("n", "s")
-        return ehm_graph(n, s)
-    if fam == "star":
-        (n,) = need("n")
-        return star(n)
-    if fam == "cycle":
-        (n,) = need("n")
-        return cycle(n)
-    if fam == "complete":
-        (n,) = need("n")
-        return complete_graph(n)
-    if fam == "complete_bipartite":
-        a, b = need("a", "b")
-        return complete_bipartite(a, b)
-    if fam == "empty":
-        (n,) = need("n")
-        return empty_graph(n)
-    if fam == "petersen":
-        return petersen()
-    if fam == "hoffman_singleton":
-        return hoffman_singleton()
-    raise InputError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
+    if fam not in _FAMILY_TABLE:
+        raise InputError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
+    build, names = _FAMILY_TABLE[fam]
+    missing = [k for k in names if k not in spec.params]
+    if missing:
+        raise InputError(f"{fam}: missing parameter(s) {', '.join(missing)}")
+    return build(*(spec.params[k] for k in names))

@@ -3,7 +3,9 @@
 Standard encoding: a size header, then the upper triangle of the
 adjacency matrix in column order x(0,1), x(0,2), x(1,2), x(0,3), ...,
 packed into 6-bit groups (most significant bit first), each group offset
-by 63 into printable ASCII.
+by 63 into printable ASCII.  ``column`` is the one owner of that bit
+order: the encoder, the decoder, ``canon.is_canonical`` and the
+enumeration's column table all go through it.
 """
 
 from __future__ import annotations
@@ -31,22 +33,23 @@ def _encode_n(n: int) -> str:
     raise InputError(f"n={n} too large for graph6")
 
 
+def column(row: int, j: int) -> int:
+    """Bits 0..j-1 of ``row`` as graph6 column j, vertex 0 the most
+    significant bit.  Its own inverse: it maps a column back to the row
+    bits it came from."""
+    return int(format(row & ((1 << j) - 1), f"0{j}b")[::-1], 2)
+
+
 def _encode_bits(rows: tuple[int, ...], n: int) -> str:
-    chunks = []
-    group = 0
-    nbits = 0
+    acc = 0
     for j in range(1, n):
-        col = rows[j]
-        for i in range(j):
-            group = group << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(group + 63))
-                group = 0
-                nbits = 0
-    if nbits:
-        chunks.append(chr((group << (6 - nbits)) + 63))
-    return "".join(chunks)
+        acc = acc << j | column(rows[j], j)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    acc <<= nbytes * 6 - nbits  # zero padding to whole 6-bit groups
+    return "".join(
+        chr((acc >> 6 * k & 63) + 63) for k in range(nbytes - 1, -1, -1)
+    )
 
 
 def from_graph6(text: str) -> Graph:
@@ -75,22 +78,27 @@ def from_graph6(text: str) -> Graph:
         )
     if len(data) > need:
         raise Graph6ParseError("trailing bytes after graph data", base + pos + need)
-    rows = [0] * n
-    bit = 0
+    acc = 0
     for k, ch in enumerate(data):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6ParseError(f"byte {ch!r} outside graph6 range", base + pos + k)
-        for t in range(5, -1, -1):
-            if bit >= nbits:
-                if val >> t & 1:
-                    raise Graph6ParseError("nonzero padding bits", base + pos + k)
-                continue
-            if val >> t & 1:
-                i, j = _bit_to_pair(bit)
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
+        acc = acc << 6 | val
+    pad = need * 6 - nbits
+    if acc & ((1 << pad) - 1):
+        raise Graph6ParseError("nonzero padding bits", base + pos + need - 1)
+    acc >>= pad
+    rows = [0] * n
+    shift = nbits
+    for j in range(1, n):
+        shift -= j
+        low = column(acc >> shift, j)
+        rows[j] |= low
+        bit = 1 << j
+        while low:
+            b = low & -low
+            rows[b.bit_length() - 1] |= bit
+            low ^= b
     return Graph._from_rows_unchecked(n, tuple(rows))
 
 
@@ -123,15 +131,6 @@ def _decode_n(s: str, base: int) -> tuple[int, int]:
     if n <= 62:
         raise Graph6ParseError(f"non-canonical long size header for n={n}", base + 1)
     return n, 4
-
-
-def _bit_to_pair(bit: int) -> tuple[int, int]:
-    # inverse of the column-major upper-triangle enumeration
-    j = 1
-    while j * (j + 1) // 2 <= bit:
-        j += 1
-    i = bit - j * (j - 1) // 2
-    return i, j
 
 
 def read_graph6_lines(lines) -> list[Graph]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .counting import check_pattern_size, contains_subgraph
@@ -159,16 +159,7 @@ class TrialStats:
                    min=min(counts), max=max(counts))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials": self.trials,
-                "mean": self.mean,
-                "stddev": self.stddev,
-                "min": self.min,
-                "max": self.max,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def estimate_expected_count(

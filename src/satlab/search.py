@@ -19,7 +19,7 @@ all 2^C(n,2) graphs provides an independent cross-check at n <= 7.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -34,7 +34,7 @@ from .counting import (
 )
 from .errors import EmptyDomainError, InputError
 # from_graph6 is unused here but kept: perfbench/tracer.py binds satlab.search.from_graph6
-from .graph6 import from_graph6, to_graph6
+from .graph6 import column, from_graph6, to_graph6
 from .graphs import Graph
 from .patterns import PatternSpec, format_pattern, parse_pattern, pattern_graph
 from .saturation import _find_clique, is_h_saturated, is_ks_saturated
@@ -104,12 +104,8 @@ def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] |
     if n == 0:
         yield Graph(0)
         return
-    # subsets[k][col]: neighbor set in 0..k-1 whose column (vertex 0 most
-    # significant) is col
-    subsets = [
-        [int(format(col, f"0{k}b")[::-1], 2) for col in range(1 << k)]
-        for k in range(n)
-    ]
+    # subsets[k][col]: neighbor set in 0..k-1 whose graph6 column is col
+    subsets = [[column(col, k) for col in range(1 << k)] for k in range(n)]
     # identity columns along the current path: ident[j] is vertex j's
     # column, which no deeper vertex changes
     ident = [0] * n
@@ -240,18 +236,7 @@ class SatRecord:
     truncated: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "h": self.h,
-                "f": self.f,
-                "min_count": self.min_count,
-                "extremal": list(self.extremal),
-                "searched": self.searched,
-                "truncated": self.truncated,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SatRecord":
@@ -265,6 +250,28 @@ class SatRecord:
             searched=d["searched"],
             truncated=d["truncated"],
         )
+
+
+def _check_extremal_cap(max_extremal: int) -> None:
+    if max_extremal < 0:
+        raise InputError(f"need max_extremal >= 0, got {max_extremal}")
+
+
+def _sat_record(n: int, h: str, f: str, min_count: int, forms: Iterable[str],
+                searched: int, max_extremal: int, truncated: bool = False) -> SatRecord:
+    """The one assembly of a ``SatRecord``: the distinct minimizer forms,
+    sorted and cut at ``max_extremal``; ``truncated`` is set when the
+    cut drops one (or the caller already lost some)."""
+    ordered = sorted(set(forms))
+    return SatRecord(
+        n=n,
+        h=h,
+        f=f,
+        min_count=min_count,
+        extremal=tuple(ordered[:max_extremal]),
+        searched=searched,
+        truncated=truncated or len(ordered) > max_extremal,
+    )
 
 
 def count_pattern(g: Graph, h: PatternSpec) -> int:
@@ -353,6 +360,7 @@ def min_count_over_saturated(
     ``shard=(i, k)`` keeps only graphs whose canonical form hashes to
     residue i mod k; shard records merge back with ``merge_records``.
     """
+    _check_extremal_cap(max_extremal)
     h = parse_pattern(h) if isinstance(h, str) else h
     f = parse_pattern(f) if isinstance(f, str) else f
     if shard is not None:
@@ -371,29 +379,21 @@ def min_count_over_saturated(
         if best is None or c < best:
             best = c
             minimizers = [form]
-        elif c == best and form not in minimizers:
+        elif c == best:
             minimizers.append(form)
     if best is None:
         raise EmptyDomainError(
             f"no {format_pattern(f)}-saturated graph on {n} vertices"
             + (" in this shard" if shard else "")
         )
-    minimizers.sort()
-    truncated = len(minimizers) > max_extremal
-    return SatRecord(
-        n=n,
-        h=format_pattern(h),
-        f=format_pattern(f),
-        min_count=best,
-        extremal=tuple(minimizers[:max_extremal]),
-        searched=searched,
-        truncated=truncated,
-    )
+    return _sat_record(n, format_pattern(h), format_pattern(f), best, minimizers,
+                       searched, max_extremal)
 
 
 def merge_records(records: Iterable[SatRecord], *,
                   max_extremal: int = DEFAULT_EXTREMAL_CAP) -> SatRecord:
     """Combine shard records: min of minima, union of minimizer lists."""
+    _check_extremal_cap(max_extremal)
     records = list(records)
     if not records:
         raise EmptyDomainError("no records to merge")
@@ -402,22 +402,12 @@ def merge_records(records: Iterable[SatRecord], *,
         if (r.n, r.h, r.f) != (first.n, first.h, first.f):
             raise InputError("records describe different problems")
     best = min(r.min_count for r in records)
-    extremal: set[str] = set()
-    truncated = False
-    for r in records:
-        if r.min_count == best:
-            extremal.update(r.extremal)
-            truncated = truncated or r.truncated
-    ordered = sorted(extremal)
-    truncated = truncated or len(ordered) > max_extremal
-    return SatRecord(
-        n=first.n,
-        h=first.h,
-        f=first.f,
-        min_count=best,
-        extremal=tuple(ordered[:max_extremal]),
-        searched=sum(r.searched for r in records),
-        truncated=truncated,
+    tied = [r for r in records if r.min_count == best]
+    return _sat_record(
+        first.n, first.h, first.f, best,
+        (form for r in tied for form in r.extremal),
+        sum(r.searched for r in records), max_extremal,
+        truncated=any(r.truncated for r in tied),
     )
 
 
@@ -465,6 +455,7 @@ def brute_force_labeled(
     which does not change any result.  ``searched`` counts saturated
     labeled graphs, not classes.
     """
+    _check_extremal_cap(max_extremal)
     if n > 7:
         raise InputError(f"labeled brute force supports n <= 7, got n={n}")
     if n < 0:
@@ -503,19 +494,9 @@ def brute_force_labeled(
         raise EmptyDomainError(
             f"no {format_pattern(f)}-saturated graph on {n} vertices"
         )
-    forms = sorted(
-        {canonical_form(Graph._from_rows_unchecked(n, r)) for r in minimizer_rows}
-    )
-    truncated = len(forms) > max_extremal
-    return SatRecord(
-        n=n,
-        h=format_pattern(h),
-        f=format_pattern(f),
-        min_count=best,
-        extremal=tuple(forms[:max_extremal]),
-        searched=searched,
-        truncated=truncated,
-    )
+    forms = (canonical_form(Graph._from_rows_unchecked(n, r)) for r in minimizer_rows)
+    return _sat_record(n, format_pattern(h), format_pattern(f), best, forms,
+                       searched, max_extremal)
 
 
 def _evaluate_labeled(

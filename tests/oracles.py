@@ -18,16 +18,19 @@ levels, pair by pair and in order; ``unanchored_ffree_process``,
 report, child filter and search as they were before
 each containment test was anchored on the new edge or vertex: a full
 ``contains_subgraph`` of the whole graph every time, trace by trace,
-report by report and pair by pair.
+report by report and pair by pair; ``graph6_decode_oracle``, the graph6
+decoder that mapped each data bit to its vertex pair by a linear
+search, graph by graph and error by error.
 """
 
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from satlab import Graph, to_graph6
+from satlab import CapacityError, Graph, Graph6ParseError, to_graph6
 from satlab.canon import canonical_rows
 from satlab.counting import _embedding_order, contains_subgraph, find_subgraph
-from satlab.graphs import bits_of
+from satlab.graph6 import _HEADER, _decode_n
+from satlab.graphs import MAX_VERTICES, bits_of
 from satlab.patterns import format_pattern, parse_pattern, pattern_graph
 from satlab.process import ProcessTrace, pair_order, shuffled_pair_indices
 from satlab.saturation import SaturationReport, is_ks_saturated
@@ -450,3 +453,55 @@ def list_is_canonical(rows: tuple[int, ...], n: int) -> bool:
         return False
 
     return not smaller(0, (1 << n) - 1, list(range(n)), [0] * n)
+
+
+def _bit_to_pair(bit: int) -> tuple[int, int]:
+    # inverse of the column-major upper-triangle enumeration
+    j = 1
+    while j * (j + 1) // 2 <= bit:
+        j += 1
+    i = bit - j * (j - 1) // 2
+    return i, j
+
+
+def graph6_decode_oracle(text: str) -> Graph:
+    """``from_graph6`` walking the data bit by bit, each bit's vertex
+    pair found by ``_bit_to_pair``; the size header is read by the
+    library's ``_decode_n``, which the column walk left unchanged."""
+    s = text.rstrip("\r\n")
+    base = 0
+    if s.startswith(_HEADER):
+        s = s[len(_HEADER):]
+        base = len(_HEADER)
+    if not s:
+        raise Graph6ParseError("empty graph6 string", base)
+    n, pos = _decode_n(s, base)
+    if n > MAX_VERTICES:
+        raise CapacityError(f"n={n} exceeds capacity MAX_VERTICES={MAX_VERTICES}")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    data = s[pos:]
+    if len(data) < need:
+        raise Graph6ParseError(
+            f"truncated data: need {need} bytes for n={n}, got {len(data)}",
+            base + len(s),
+        )
+    if len(data) > need:
+        raise Graph6ParseError("trailing bytes after graph data", base + pos + need)
+    rows = [0] * n
+    bit = 0
+    for k, ch in enumerate(data):
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise Graph6ParseError(f"byte {ch!r} outside graph6 range", base + pos + k)
+        for t in range(5, -1, -1):
+            if bit >= nbits:
+                if val >> t & 1:
+                    raise Graph6ParseError("nonzero padding bits", base + pos + k)
+                continue
+            if val >> t & 1:
+                i, j = _bit_to_pair(bit)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            bit += 1
+    return Graph._from_rows_unchecked(n, tuple(rows))

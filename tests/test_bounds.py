@@ -26,6 +26,7 @@ from satlab import (
     star,
     star_floor,
 )
+from satlab.bounds import FORMULAS
 from satlab.search import saturated_classes
 
 
@@ -58,6 +59,11 @@ class TestFormulas:
             kr_min(8, 4, 4)
         with pytest.raises(InputError, match="unknown formula"):
             formula("zeta", n=1)
+
+    def test_formula_table_order(self):
+        assert FORMULAS == ("ehm_edges", "kr_min", "k12_min", "k12_k3_lower", "ehm_k22",
+                            "star_floor")
+        assert formula("kr_min", n=10, r=3, s=5) == kr_min(10, 3, 5)
 
 
 class TestKkko:

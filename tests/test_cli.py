@@ -4,8 +4,11 @@ import json
 
 import satlab.cli
 import satlab.process
+import satlab.search
 from satlab import (
+    BoundReport,
     SatRecord,
+    TrialStats,
     canonical_form,
     cycle,
     ehm_graph,
@@ -94,6 +97,18 @@ class TestCheck:
 
 
 class TestSearch:
+    def test_negative_extremal_cap_is_usage_error(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(satlab.search, "saturated_classes", no_search)
+        monkeypatch.setattr(satlab.search, "saturated_stream", no_search)
+        code, out, err = run(
+            capsys, "search", "--n", "5", "--h", "k_2", "--f", "k_3", "--max-extremal", "-1"
+        )
+        assert code == 2 and out == ""
+        assert "max_extremal >= 0" in err
+
     def test_basic(self, capsys):
         code, out, _ = run(
             capsys, "search", "--n", "5", "--h", "k_1_2", "--f", "k_3"
@@ -240,3 +255,29 @@ class TestRemovedOptions:
             capsys, "--threads", "4", "construct", "--family", "cycle", "--n", "5"
         )
         assert code == 2 and out == ""
+
+
+class TestJsonBytes:
+    """Each record type's JSON, byte for byte: the field lists live only
+    in the dataclasses."""
+
+    def test_sat_record(self):
+        rec = SatRecord(n=5, h="k_1_2", f="k_3", min_count=5, extremal=("DUW", "Dhc"),
+                        searched=3, truncated=True)
+        assert rec.to_json() == (
+            '{"extremal": ["DUW", "Dhc"], "f": "k_3", "h": "k_1_2", "min_count": 5, '
+            '"n": 5, "searched": 3, "truncated": true}'
+        )
+        assert SatRecord.from_json(rec.to_json()) == rec
+
+    def test_trial_stats(self):
+        stats = TrialStats(trials=3, mean=2.5, stddev=0.5, min=2, max=3)
+        assert stats.to_json() == '{"max": 3, "mean": 2.5, "min": 2, "stddev": 0.5, "trials": 3}'
+
+    def test_bound_report(self):
+        report = BoundReport(name="star_floor", lhs=10, rhs=9.5, holds=True, equality=False,
+                             context={"n": 5, "s": 3, "t": 3, "in_hypothesis": True})
+        assert report.to_json() == (
+            '{"context": {"in_hypothesis": true, "n": 5, "s": 3, "t": 3}, "equality": false, '
+            '"holds": true, "lhs": 10, "name": "star_floor", "rhs": 9.5}'
+        )

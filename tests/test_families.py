@@ -24,6 +24,7 @@ from satlab import (
     petersen,
     star,
 )
+from satlab.families import FAMILIES
 
 
 class TestEhmGraph:
@@ -144,3 +145,10 @@ class TestMake:
             make(FamilySpec("ehm", {"n": 5}))
         with pytest.raises(InputError, match="unknown family"):
             make(FamilySpec("moebius", {}))
+
+    def test_every_family_builds_from_the_table(self):
+        assert FAMILIES == ("ehm", "star", "cycle", "complete", "complete_bipartite",
+                            "empty", "petersen", "hoffman_singleton")
+        params = {"n": 6, "s": 4, "a": 2, "b": 3}
+        sizes = [make(FamilySpec(fam, params)).n for fam in FAMILIES]
+        assert sizes == [6, 6, 6, 6, 5, 6, 10, 50]

@@ -27,8 +27,9 @@ from satlab import (
     star,
     to_graph6,
 )
+from satlab.graph6 import column
 from conftest import random_graph
-from oracles import brute_canonical_form
+from oracles import brute_canonical_form, graph6_decode_oracle
 
 
 @st.composite
@@ -261,6 +262,90 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError) as err:
             read_graph6_lines([to_graph6(cycle(5)), "B"])
         assert err.value.offset == 1
+
+
+def _decode_outcome(decode, text):
+    """A decoded graph, or the error's class and offset."""
+    try:
+        return decode(text)
+    except Graph6ParseError as exc:
+        return Graph6ParseError, exc.offset
+    except CapacityError:
+        return CapacityError
+
+
+class TestGraph6Column:
+    """The column walk of ``from_graph6`` against the bit-by-bit decoder
+    it replaced (``oracles.graph6_decode_oracle``)."""
+
+    def test_column_is_its_own_inverse(self):
+        rng = random.Random(7)
+        for j in range(65):
+            mask = (1 << j) - 1
+            for _ in range(20):
+                row = rng.getrandbits(70)
+                assert column(column(row, j), j) == row & mask
+            if j:
+                assert column(1, j) == 1 << (j - 1)  # vertex 0 is the top bit
+
+    def test_matches_oracle_for_every_size(self):
+        rng = random.Random(11)
+        residues, headers = set(), set()
+        for n in range(65):
+            for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+                g = random_graph(rng, n, p)
+                text = to_graph6(g)
+                residues.add(n * (n - 1) // 2 % 6)
+                headers.add(len(text) - (n * (n - 1) // 2 + 5) // 6)
+                for line in (text, ">>graph6<<" + text):
+                    assert from_graph6(line) == graph6_decode_oracle(line) == g, (n, p)
+        assert residues == {0, 1, 3, 4}  # every residue a C(n,2) takes
+        assert headers == {1, 4}
+
+    def test_dense_networkx_graphs(self):
+        for n in range(30, 65):
+            h = nx.gnp_random_graph(n, 0.9, seed=n)
+            text = nx.to_graph6_bytes(h, header=False).decode().strip()
+            g = from_graph6(text)
+            assert g.n == n
+            assert set(g.edges()) == {(min(e), max(e)) for e in h.edges()}
+
+    def test_nonzero_padding_offset(self):
+        # n=5: ten data bits in two bytes, the last two bits are padding
+        text = to_graph6(cycle(5))
+        bad = text[:-1] + chr((ord(text[-1]) - 63 | 1) + 63)
+        for line, offset in ((bad, 2), (">>graph6<<" + bad, 12)):
+            with pytest.raises(Graph6ParseError, match="padding") as err:
+                from_graph6(line)
+            assert err.value.offset == offset
+            assert _decode_outcome(graph6_decode_oracle, line) == (Graph6ParseError, offset)
+
+    @given(
+        st.one_of(graphs(max_n=14), st.integers(60, 64).map(empty_graph)),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["replace", "delete", "insert"]),
+                st.integers(0, 400),
+                st.characters(min_codepoint=58, max_codepoint=129),
+            ),
+            max_size=3,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_lines_match_oracle(self, g, edits, header):
+        text = list(to_graph6(g))
+        for op, k, ch in edits:
+            k %= len(text) + 1
+            if op == "insert":
+                text.insert(k, ch)
+            elif k < len(text):
+                if op == "delete":
+                    del text[k]
+                else:
+                    text[k] = ch
+        line = (">>graph6<<" if header else "") + "".join(text)
+        assert _decode_outcome(from_graph6, line) == _decode_outcome(graph6_decode_oracle, line)
 
 
 class TestCanonicalForm:

@@ -316,3 +316,30 @@ class TestExtremalCap:
         r = min_count_over_saturated(5, "k_2_2", "k_3", max_extremal=1)
         assert r.truncated
         assert r.extremal == full.extremal[:1]
+
+    def test_negative_cap_rejected(self):
+        rec = min_count_over_saturated(5, "k_2_2", "k_3")
+        for call in (
+            lambda: min_count_over_saturated(5, "k_2_2", "k_3", max_extremal=-1),
+            lambda: merge_records([rec], max_extremal=-1),
+            lambda: brute_force_labeled(5, "k_2_2", "k_3", max_extremal=-1),
+        ):
+            with pytest.raises(InputError, match="max_extremal >= 0"):
+                call()
+
+    def test_zero_cap_keeps_only_the_flag(self):
+        for r in (
+            min_count_over_saturated(5, "k_2_2", "k_3", max_extremal=0),
+            merge_records([min_count_over_saturated(5, "k_2_2", "k_3")], max_extremal=0),
+            brute_force_labeled(5, "k_2_2", "k_3", max_extremal=0),
+        ):
+            assert r.min_count == 0
+            assert r.extremal == () and r.truncated
+
+    def test_source_duplicates_counted_once(self):
+        lines = [to_graph6(cycle(5))] * 2 + [to_graph6(ehm_graph(5, 3))]
+        r = min_count_over_saturated(
+            5, "k_1_2", "k_3", source=(from_graph6(t) for t in lines)
+        )
+        assert r.extremal == (canonical_form(cycle(5)),)
+        assert r.searched == 3 and not r.truncated
