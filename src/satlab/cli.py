@@ -206,6 +206,10 @@ def _report_json(report) -> dict:
 
 
 def _cmd_check(args) -> int:
+    if args.sat == "ks" and args.pattern is not None:
+        raise InputError("--pattern applies only to --sat pattern")
+    if args.sat == "pattern" and args.s is not None:
+        raise InputError("--s applies only to --sat ks")
     graphs = _read_graphs(args.input)
     if args.sat == "ks":
         if args.s is None:
@@ -231,6 +235,8 @@ def _cmd_search(args) -> int:
         if args.s is None:
             raise InputError("--f ks requires --s")
         f = f"k_{args.s}"
+    elif args.s is not None:
+        raise InputError("--s applies only to --f ks")
     shard = None
     if args.shard:
         try:

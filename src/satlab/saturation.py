@@ -94,9 +94,8 @@ def is_ks_saturated(g: Graph, s: int) -> SaturationReport:
 def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
     """Saturation report for an arbitrary pattern (h.n <= 8, >= 1 edge).
 
-    One embedding search decides freeness and gives the witness.  Since
-    g is then h-free, a copy in g + uv must use the edge uv, so each
-    non-edge takes one search anchored on it.
+    One embedding search decides freeness and gives the witness; on an
+    h-free g, ``_uncompleted_non_edge`` gives the saturation witness.
     """
     check_pattern_size(h)
     if h.edge_count() == 0:
@@ -104,18 +103,37 @@ def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
     copy = find_subgraph(g, h)
     if copy is not None:
         return SaturationReport(False, False, free_violation=copy)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.rows[u] >> v & 1:
-                continue
-            added = list(g.rows)
-            added[u] |= 1 << v
+    pair = _uncompleted_non_edge(g.rows, g.n, h)
+    if pair is not None:
+        return SaturationReport(True, False, saturation_violation=pair)
+    return SaturationReport(True, True)
+
+
+def _uncompleted_non_edge(rows: tuple[int, ...], n: int, h: Graph) -> tuple[int, int] | None:
+    """Lowest non-edge uv (u < v) of an h-free graph on ``rows`` with no
+    copy of h in g + uv, or None when every non-edge completes one.
+
+    The graph is h-free, so a copy in g + uv uses the edge uv: one
+    search anchored on it decides each non-edge.  This is the one
+    per-non-edge loop, shared by ``is_h_saturated`` and the pattern
+    search's last level.
+    """
+    full = (1 << n) - 1
+    for u in range(n):
+        # non-neighbors v > u
+        m = ~rows[u] & full & -(2 << u)
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            added = list(rows)
+            added[u] |= low
             added[v] |= 1 << u
             if not contains_subgraph(
-                Graph._from_rows_unchecked(g.n, tuple(added)), h, through=(u, v)
+                Graph._from_rows_unchecked(n, tuple(added)), h, through=(u, v)
             ):
-                return SaturationReport(True, False, saturation_violation=(u, v))
-    return SaturationReport(True, True)
+                return u, v
+    return None
 
 
 def clique_witness(g: Graph, u: int, v: int, s: int) -> CliqueWitness:

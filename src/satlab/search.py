@@ -8,12 +8,14 @@ canonical form has the prefix property, so every class is produced
 exactly once, from its canonical labeling with the last vertex removed,
 and no table of seen forms is needed.  A hereditary "stay F-free" filter
 prunes the tree when minimizing over F-saturated graphs (an induced
-subgraph of an F-free graph is F-free, so pruning is exact).  For
-F = K_s a second hook decides saturation on the last two levels before
-the canonicity test: a graph on n-1 vertices is dropped when no last
-vertex can complete its witness-less non-edges, and a last-level child
-is tested for saturation on its rows.  A labeled brute-force oracle over
-all 2^C(n,2) graphs provides an independent cross-check at n <= 7.
+subgraph of an F-free graph is F-free, so pruning is exact).  A second
+hook decides saturation on the last levels before the canonicity test,
+so no enumerated graph is tested again.  For F = K_s a graph on n-1
+vertices is dropped when no last vertex can complete its witness-less
+non-edges, and a last-level child is tested for saturation on its rows.
+For any other F the last-level child, already F-free, is tested with
+one search anchored on each non-edge.  A labeled brute-force oracle
+over all 2^C(n,2) graphs provides an independent cross-check at n <= 7.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_form, canonical_rows, is_canonical
 from .counting import (
+    check_pattern_size,
     contains_subgraph,
     count_cliques,
     count_cycles,
@@ -37,10 +40,9 @@ from .errors import EmptyDomainError, InputError
 from .graph6 import column, from_graph6, to_graph6
 from .graphs import Graph
 from .patterns import PatternSpec, format_pattern, parse_pattern, pattern_graph
-from .saturation import _find_clique, is_h_saturated, is_ks_saturated
+from .saturation import _find_clique, _uncompleted_non_edge, is_h_saturated, is_ks_saturated
 
 MAX_ENUM_VERTICES = 9
-MAX_PATTERN_F_VERTICES = 8
 #: Largest n of the saturated K_s search, per s: what one CLI search
 #: finishes in about a minute (single runs: n=12 K_3 51 s, n=10 K_4 9 s,
 #: n=10 K_5 7 s and 4-6 s for s = 6..16; n=11 takes 144 s for K_4 and
@@ -48,6 +50,9 @@ MAX_PATTERN_F_VERTICES = 8
 #: the K_2 search, whose only graph is the empty one, is bounded by
 #: canonical labeling alone.
 MAX_KS_SEARCH_VERTICES = {2: 16, 3: 12, 4: 10}
+#: Largest n of the saturated search for any other F (F itself may have
+#: up to ``counting.MAX_PATTERN_VERTICES`` vertices).
+MAX_PATTERN_SEARCH_VERTICES = 8
 DEFAULT_EXTREMAL_CAP = 100
 
 
@@ -74,8 +79,9 @@ class LastLevels(NamedTuple):
     canonicity test; unlike ``child_keep`` they need not be hereditary.
 
     ``need(rows, k)`` sees each child on k = n-1 vertices: -1 drops it,
-    else it is the set of vertices the last vertex must be adjacent to.
-    On the last level a column missing any of that set is skipped before
+    else it is the set of vertices the last vertex must be adjacent to
+    (always 0 for a pattern F, which constrains no neighbourhood).  On
+    the last level a column missing any of that set is skipped before
     the child is built, and ``complete(rows, n, need)`` sees each child
     that ``child_keep`` keeps.
     """
@@ -223,6 +229,22 @@ def _keep_pattern_free(f: Graph) -> Callable[[tuple[int, ...], int, int], bool]:
     return keep
 
 
+def _pattern_saturation_levels(f: Graph) -> LastLevels:
+    """F-saturation as ``LastLevels`` over F-free graphs.  Unlike K_s, a
+    pattern puts no constraint on the last vertex's neighbourhood, so
+    ``need`` is always 0; ``complete`` runs ``is_h_saturated``'s
+    per-non-edge test on the child, which ``_keep_pattern_free`` has
+    already kept F-free."""
+
+    def need(rows: tuple[int, ...], k: int) -> int:
+        return 0
+
+    def complete(rows: tuple[int, ...], n: int, need: int) -> bool:
+        return _uncompleted_non_edge(rows, n, f) is None
+
+    return LastLevels(need, complete)
+
+
 @dataclass(frozen=True)
 class SatRecord:
     """Exact sat(n, H, F) with the minimizers in canonical graph6 form."""
@@ -310,9 +332,11 @@ def saturated_stream(
     Uses the pruned enumeration unless an explicit ``source`` of graphs
     (e.g. parsed from graph6 lines) is supplied.  Enumerated graphs are
     already canonically labeled; only source graphs are canonicalized.
-    For F = K_s the enumeration decides saturation itself on its last
-    two levels (``_ks_saturation_levels``); otherwise, and for source
-    graphs, every graph is tested.
+    The enumeration decides saturation itself on its last levels
+    (``_ks_saturation_levels`` for F = K_s, else
+    ``_pattern_saturation_levels``) and yields every graph it reaches;
+    only source graphs are tested by ``is_ks_saturated`` or
+    ``is_h_saturated``.
     """
     kind, value = f
     if kind == "clique":
@@ -327,8 +351,9 @@ def saturated_stream(
         fgraph = pattern_graph(f)
         if fgraph.edge_count() == 0:
             raise InputError("saturation pattern needs at least one edge")
-        cap, label = MAX_PATTERN_F_VERTICES, "pattern F"
-        keep, last = _keep_pattern_free(fgraph), None
+        check_pattern_size(fgraph)
+        cap, label = MAX_PATTERN_SEARCH_VERTICES, "pattern F"
+        keep, last = _keep_pattern_free(fgraph), _pattern_saturation_levels(fgraph)
 
         def saturated(g: Graph) -> bool:
             return is_h_saturated(g, fgraph).is_saturated
@@ -336,8 +361,7 @@ def saturated_stream(
         if n > cap:
             raise InputError(f"search supports n <= {cap} for {label}, got n={n}")
         for g in _enumerate(n, keep, last):
-            if last is not None or saturated(g):
-                yield g, to_graph6(g)
+            yield g, to_graph6(g)
         return
     for g in source:
         if g.n != n:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import satlab.cli
 import satlab.process
 import satlab.search
@@ -95,6 +97,23 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["is_saturated"]
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--sat", "ks", "--s", "3", "--pattern", "c_4"), "--pattern applies only to --sat pattern"),
+        (("--sat", "pattern", "--pattern", "k_3", "--s", "3"), "--s applies only to --sat ks"),
+    ], ids=["ks_with_pattern", "pattern_with_s"])
+    def test_flag_of_the_other_kind_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                   flags, message):
+        def no_check(*args, **kwargs):
+            raise AssertionError("the check ran")
+
+        monkeypatch.setattr(satlab.cli, "is_ks_saturated", no_check)
+        monkeypatch.setattr(satlab.cli, "is_h_saturated", no_check)
+        src = tmp_path / "c5.g6"
+        src.write_text(to_graph6(cycle(5)) + "\n")
+        code, out, err = run(capsys, "check", *flags, "-i", str(src))
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestSearch:
     def test_negative_extremal_cap_is_usage_error(self, capsys, monkeypatch):
@@ -108,6 +127,31 @@ class TestSearch:
         )
         assert code == 2 and out == ""
         assert "max_extremal >= 0" in err
+
+    def test_s_without_f_ks_is_usage_error(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(satlab.cli, "min_count_over_saturated", no_search)
+        monkeypatch.setattr(satlab.search, "saturated_classes", no_search)
+        monkeypatch.setattr(satlab.search, "saturated_stream", no_search)
+        code, out, err = run(
+            capsys, "search", "--n", "5", "--h", "k_2", "--f", "k_3", "--s", "4"
+        )
+        assert code == 2 and out == ""
+        assert "--s applies only to --f ks" in err
+
+    # pinned from the search that tested every enumerated class with
+    # is_h_saturated, before the last level decided saturation itself
+    @pytest.mark.parametrize("f,line", [
+        ("k_3_3", '{"extremal": ["G?\\\\t|w"], "f": "k_3_3", "h": "k_2", "min_count": 16, '
+                  '"n": 8, "searched": 48, "truncated": false}'),
+        ("c_6", '{"extremal": ["G?Djn?"], "f": "c_6", "h": "k_2", "min_count": 11, '
+                '"n": 8, "searched": 19, "truncated": false}'),
+    ], ids=["k_3_3", "c_6"])
+    def test_pattern_record_bytes_at_eight(self, capsys, f, line):
+        code, out, _ = run(capsys, "search", "--n", "8", "--h", "k_2", "--f", f)
+        assert code == 0 and out == line + "\n"
 
     def test_basic(self, capsys):
         code, out, _ = run(

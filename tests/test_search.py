@@ -23,13 +23,17 @@ from satlab import (
     petersen,
     to_graph6,
 )
+from satlab.graphs import Graph
 from satlab.saturation import is_ks_saturated
 from satlab.search import (
     MAX_ENUM_VERTICES,
     MAX_KS_SEARCH_VERTICES,
+    MAX_PATTERN_SEARCH_VERTICES,
+    LastLevels,
     _enumerate,
     _keep_ks_free,
     _keep_pattern_free,
+    _pattern_saturation_levels,
     ks_search_cap,
     saturated_classes,
     saturated_stream,
@@ -38,6 +42,7 @@ from oracles import (
     class_count_burnside,
     dedup_enumerate,
     filter_then_test_stream,
+    unanchored_is_h_saturated,
     unanchored_keep_pattern_free,
     unanchored_saturated_stream,
 )
@@ -156,15 +161,47 @@ def is_ks_free_quick(g):
 
 class TestAnchoredPatternSearch:
     """Child filters anchored on the new vertex and saturation tests
-    anchored on each non-edge reproduce the stream of full containment
-    tests, pair by pair and in order."""
+    anchored on each non-edge, run on the last level ahead of the
+    canonicity test, reproduce the stream of full containment tests on
+    every class, pair by pair and in order."""
 
-    @pytest.mark.parametrize("token", ["c_4", "c_5", "k_2_3", "k_1_3"])
+    # g6:C^ is K_4 minus an edge, g6:C` is 2K_2, g6:Ch is the path on 4 vertices
+    @pytest.mark.parametrize(
+        "token", ["c_4", "c_5", "k_2_3", "k_1_3", "g6:C^", "g6:C`", "g6:Ch", "c_6"]
+    )
     def test_same_stream_in_order(self, token):
-        for n in range(1, 8):
+        for n in range(9 if token in ("c_4", "k_1_3") else 8):
             got = [(g.rows, form) for g, form in saturated_stream(n, parse_pattern(token))]
             want = [(g.rows, form) for g, form in unanchored_saturated_stream(n, token)]
             assert got == want, (token, n)
+
+    @pytest.mark.parametrize("token", ["c_4", "k_2_3", "g6:C`"])
+    def test_last_level_verdicts(self, token):
+        # the last-level check on every child the filter keeps, n <= 7
+        f = pattern_graph(parse_pattern(token))
+        check = _pattern_saturation_levels(f)
+        verdicts = []
+
+        def complete(rows, n, need):
+            verdict = check.complete(rows, n, need)
+            want = unanchored_is_h_saturated(Graph._from_rows_unchecked(n, rows), f)
+            assert verdict == want.is_saturated, rows
+            verdicts.append(verdict)
+            return verdict
+
+        for n in range(2, 8):
+            for _ in _enumerate(n, _keep_pattern_free(f), LastLevels(check.need, complete)):
+                pass
+        assert True in verdicts and False in verdicts
+
+    def test_search_cap(self):
+        assert MAX_PATTERN_SEARCH_VERTICES == 8
+        with pytest.raises(InputError, match="n <= 8 for pattern F"):
+            next(saturated_stream(9, parse_pattern("c_4")))
+        # F past its own size cap, though n <= 1 builds no child to test
+        for n in (0, 1):
+            with pytest.raises(InputError, match="beyond the 8 cap"):
+                next(saturated_stream(n, parse_pattern("k_4_5")))
 
     @pytest.mark.parametrize("token", ["c_4", "c_5", "k_2_3", "k_1_3"])
     def test_child_filter_verdicts(self, token):
