@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -56,14 +55,22 @@ def count_kab(g: Graph, pattern: BipartitePattern) -> int:
         return count_stars(g, b)
     total = 0
     rows = g.rows
-    for subset in combinations(range(g.n), a):
-        acc = rows[subset[0]]
-        for v in subset[1:]:
-            acc &= rows[v]
-            if not acc:
-                break
-        else:
-            total += comb(acc.bit_count(), b)
+    # A grows in increasing vertex order and carries its common
+    # neighbourhood acc (all ones before the first vertex); B lies in
+    # acc, so a branch dies once acc holds fewer than b vertices
+    stack = [(0, -1, a)]  # (lowest vertex left to add, acc, vertices left)
+    while stack:
+        start, acc, left = stack.pop()
+        if left == 1:
+            for row in rows[start:]:
+                c = (acc & row).bit_count()
+                if c >= b:
+                    total += comb(c, b)
+            continue
+        for v in range(start, g.n - left + 1):
+            common = acc & rows[v]
+            if common.bit_count() >= b:
+                stack.append((v + 1, common, left - 1))
     if a == b:
         assert total % 2 == 0
         total //= 2

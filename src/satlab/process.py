@@ -50,12 +50,19 @@ def pair_order(n: int) -> list[tuple[int, int]]:
 
 
 def shuffled_pair_indices(n: int, seed: int) -> list[int]:
-    """Fisher-Yates permutation of pair indices, high index downward."""
+    """Fisher-Yates permutation of pair indices, high index downward.
+
+    Draw j is ``SplitMix64(seed).below(i + 1)``, with the generator
+    stepped inline on a local state.
+    """
     m = n * (n - 1) // 2
     idx = list(range(m))
-    rng = SplitMix64(seed)
+    x = seed & _MASK64
     for i in range(m - 1, 0, -1):
-        j = rng.below(i + 1)
+        x = (x + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        j = (z ^ (z >> 31)) % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 

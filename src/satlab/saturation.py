@@ -39,17 +39,34 @@ class CliqueWitness:
 
 
 def _find_clique(rows: tuple[int, ...], candidates: int, size: int) -> int:
-    """Bitmask of one ``size``-clique within ``candidates``, or -1."""
-    if size == 0:
-        return 0
+    """Bitmask of one ``size``-clique within ``candidates``, or -1.
+
+    Candidates are tried in ascending order and each is extended with
+    higher vertices only, so the first hit is the lexicographically
+    first clique.  Size 2 is one flat loop and size 1 the lowest bit, so
+    the recursion of sizes 3 and up never descends below size 2.
+    """
+    if size < 2:
+        if size == 0:
+            return 0
+        if size < 0 or not candidates:
+            return -1
+        return candidates & -candidates
     if candidates.bit_count() < size:
         return -1
     m = candidates
+    if size == 2:
+        while m:
+            low = m & -m
+            m ^= low
+            sub = rows[low.bit_length() - 1] & m
+            if sub:
+                return low | (sub & -sub)
+        return -1
     while m:
         low = m & -m
-        v = low.bit_length() - 1
         m ^= low
-        sub = _find_clique(rows, rows[v] & m, size - 1)
+        sub = _find_clique(rows, rows[low.bit_length() - 1] & m, size - 1)
         if sub >= 0:
             return sub | low
     return -1
@@ -82,11 +99,16 @@ def is_ks_saturated(g: Graph, s: int) -> SaturationReport:
     if not free:
         return SaturationReport(False, False, free_violation=clique)
     rows = g.rows
+    full = g.vertex_mask
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if rows[u] >> v & 1:
-                continue
-            if _find_clique(rows, rows[u] & rows[v], s - 2) < 0:
+        ru = rows[u]
+        # non-neighbors v > u
+        m = ~ru & full & -(2 << u)
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if _find_clique(rows, ru & rows[v], s - 2) < 0:
                 return SaturationReport(True, False, saturation_violation=(u, v))
     return SaturationReport(True, True)
 

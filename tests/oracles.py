@@ -20,7 +20,12 @@ each containment test was anchored on the new edge or vertex: a full
 ``contains_subgraph`` of the whole graph every time, trace by trace,
 report by report and pair by pair; ``graph6_decode_oracle``, the graph6
 decoder that mapped each data bit to its vertex pair by a linear
-search, graph by graph and error by error.
+search, graph by graph and error by error; ``recursive_find_clique``,
+the clique finder that recursed down to size 0 before sizes 0 to 2
+became flat base cases, mask by mask; ``combinations_count_kab``, the
+K_{a,b} counter that intersected the rows of every a-subset before the
+counter carried common neighbourhoods along a pruned search, count by
+count.
 """
 
 from itertools import combinations, permutations
@@ -28,7 +33,7 @@ from math import comb, factorial
 
 from satlab import CapacityError, Graph, Graph6ParseError, to_graph6
 from satlab.canon import canonical_rows
-from satlab.counting import _embedding_order, contains_subgraph, find_subgraph
+from satlab.counting import _embedding_order, contains_subgraph, count_stars, find_subgraph
 from satlab.graph6 import _HEADER, _decode_n
 from satlab.graphs import MAX_VERTICES, bits_of
 from satlab.patterns import format_pattern, parse_pattern, pattern_graph
@@ -79,6 +84,27 @@ def kab_oracle(g: Graph, a: int, b: int) -> int:
                 key = frozenset({frozenset(aside), frozenset(bside)})
                 seen.add(key)
     return len(seen)
+
+
+def combinations_count_kab(g: Graph, a: int, b: int) -> int:
+    """``count_kab`` as it was: the common neighbourhood of every
+    a-subset from ``combinations``, for 1 <= a <= b."""
+    if a == 1:
+        return count_stars(g, b)
+    total = 0
+    rows = g.rows
+    for subset in combinations(range(g.n), a):
+        acc = rows[subset[0]]
+        for v in subset[1:]:
+            acc &= rows[v]
+            if not acc:
+                break
+        else:
+            total += comb(acc.bit_count(), b)
+    if a == b:
+        assert total % 2 == 0
+        total //= 2
+    return total
 
 
 def cliques_oracle(g: Graph, r: int) -> int:
@@ -293,6 +319,25 @@ def clique_witness_oracle(g: Graph, u: int, v: int, s: int):
         if all(y in nbrs[x] for x, y in combinations(sub, 2)):
             return frozenset(sub)
     return None
+
+
+def recursive_find_clique(rows: tuple[int, ...], candidates: int, size: int) -> int:
+    """``saturation._find_clique`` as it was: recursion down to size 0,
+    so a negative size walks every clique among the candidates before
+    it returns -1."""
+    if size == 0:
+        return 0
+    if candidates.bit_count() < size:
+        return -1
+    m = candidates
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        sub = recursive_find_clique(rows, rows[v] & m, size - 1)
+        if sub >= 0:
+            return sub | low
+    return -1
 
 
 def find_subgraph_oracle(g: Graph, f: Graph):

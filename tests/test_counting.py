@@ -30,10 +30,11 @@ from satlab import (
     star,
 )
 from satlab import counting
-from conftest import random_graph
+from conftest import random_graph, random_tripartite
 from oracles import (
     cliques_oracle,
     codegree_sum_oracle,
+    combinations_count_kab,
     cycles_oracle,
     embeddings_oracle,
     find_subgraph_oracle,
@@ -82,6 +83,25 @@ class TestKab:
         for g in small_random_graphs[:30]:
             for t in (1, 2, 3):
                 assert count_kab(g, BipartitePattern(1, t)) == count_stars(g, t)
+
+    def test_matches_combinations_counter(self, small_random_graphs):
+        for g in small_random_graphs:
+            for a in range(1, 5):
+                for b in range(a, 5):
+                    assert count_kab(g, BipartitePattern(a, b)) == combinations_count_kab(
+                        g, a, b
+                    ), (g, a, b)
+
+    def test_matches_combinations_counter_on_tripartite_graphs(self):
+        # kab_oracle's subset pairs are out of reach at 30-60 vertices
+        rng = random.Random(3103)
+        for i in range(20):
+            g = random_tripartite(rng, rng.randint(30, 60), (1.0, 0.9, 0.6, 0.3)[i % 4])
+            for a in range(1, 4):
+                for b in range(a, 5):
+                    assert count_kab(g, BipartitePattern(a, b)) == combinations_count_kab(
+                        g, a, b
+                    ), (g, a, b)
 
 
 class TestK4Minus:

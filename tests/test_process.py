@@ -60,6 +60,16 @@ class TestRng:
                 idx = shuffled_pair_indices(n, seed)
                 assert sorted(idx) == list(range(n * (n - 1) // 2))
 
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**64 + 5])
+    def test_shuffle_is_reference_fisher_yates(self, seed):
+        for n in (0, 1, 2, 3, 17, 60, 120):
+            idx = list(range(n * (n - 1) // 2))
+            rng = SplitMix64(seed)
+            for i in range(len(idx) - 1, 0, -1):
+                j = rng.below(i + 1)
+                idx[i], idx[j] = idx[j], idx[i]
+            assert shuffled_pair_indices(n, seed) == idx, n
+
     def test_pair_order_fixed(self):
         assert pair_order(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -114,6 +124,17 @@ class TestProcess:
                 assert fast.order == slow.order
                 assert fast.accepted == slow.accepted
                 assert fast.result == slow.result
+
+    # sha256 of the 3 newline-terminated trace lines of seeds seed..seed+2
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "195383d2b459386d5ea6a399e2482a76f98ef2a1e27bcc1306580a5dcfa5aad6"),
+        (20241018, "8c930b5509e15fdaa813b7f1e972de4ed72831d3f31c97b598a44cecf6b955f9"),
+    ])
+    def test_frozen_3_trial_k4_traces_at_120(self, seed, digest):
+        h = hashlib.sha256()
+        for i in range(3):
+            h.update(run_ffree_process(120, "k_4", seed + i).to_json().encode() + b"\n")
+        assert h.hexdigest() == digest
 
     def test_trace_json_fields(self):
         trace = run_ffree_process(5, "k_3", 4)

@@ -1,5 +1,6 @@
 """Freeness/saturation verdicts, clique witnesses, witness hypergraphs."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -28,8 +29,15 @@ from satlab import (
     run_ffree_process,
     star,
 )
+from satlab.saturation import _find_clique
 from satlab.search import saturated_classes
-from oracles import clique_witness_oracle, ks_saturated_oracle, unanchored_is_h_saturated
+from conftest import random_tripartite
+from oracles import (
+    clique_witness_oracle,
+    ks_saturated_oracle,
+    recursive_find_clique,
+    unanchored_is_h_saturated,
+)
 
 
 class TestFreeness:
@@ -195,6 +203,37 @@ class TestCliqueWitness:
                             clique_witness(g, u, v, s)
                     else:
                         assert clique_witness(g, u, v, s).s_set == expected
+
+
+class TestFindCliqueKernel:
+    """``_find_clique`` with flat base cases for sizes up to 2 returns
+    the mask of the recursion down to size 0, for every size and
+    candidate set."""
+
+    @staticmethod
+    def _assert_matches_recursion(g, rng):
+        masks = [g.vertex_mask, 0] + [rng.getrandbits(g.n) for _ in range(4)]
+        for candidates in masks:
+            for size in range(-1, 7):
+                assert _find_clique(g.rows, candidates, size) == recursive_find_clique(
+                    g.rows, candidates, size
+                ), (g, candidates, size)
+
+    def test_matches_recursion_on_random_graphs(self, small_random_graphs):
+        rng = random.Random(3101)
+        for g in small_random_graphs:
+            self._assert_matches_recursion(g, rng)
+
+    def test_matches_recursion_on_tripartite_graphs(self):
+        rng = random.Random(3102)
+        for _ in range(10):
+            self._assert_matches_recursion(random_tripartite(rng, rng.randint(30, 60)), rng)
+
+    def test_negative_size_returns_at_once(self):
+        # the recursion would walk all 2^30 cliques of K_30 first
+        g = complete_graph(30)
+        for size in (-1, -2, -30):
+            assert _find_clique(g.rows, g.vertex_mask, size) == -1
 
 
 class TestWitnessHypergraph:
