@@ -9,8 +9,8 @@ squared), so Moore-graph equality cases cannot be misflagged.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .counting import codegree_sum, count_k4_minus, count_kab, count_stars
 from .counting import BipartitePattern
@@ -21,19 +21,28 @@ CSV_SCHEMA_COMMENT = "# satlab bounds csv v1"
 CSV_HEADER = ("name", "n", "s", "t", "lhs", "rhs", "holds", "equality")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound: lhs >= rhs unless stated otherwise."""
-
+class _BoundReport(NamedTuple):
     name: str
     lhs: float | int
     rhs: float | int
     holds: bool
     equality: bool
-    context: dict = field(default_factory=dict)
+    context: dict
+
+
+class BoundReport(_BoundReport):
+    """One evaluated bound: lhs >= rhs unless stated otherwise.  The
+    context defaults to a fresh {}."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, lhs: float | int, rhs: float | int, holds: bool,
+                equality: bool, context: dict | None = None) -> BoundReport:
+        return super().__new__(cls, name, lhs, rhs, holds, equality,
+                               {} if context is None else context)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     def csv_row(self) -> list:
         ctx = self.context

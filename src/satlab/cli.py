@@ -9,18 +9,16 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from itertools import chain
 from math import comb
+from typing import TYPE_CHECKING
 
-from . import bounds as bnd
 from .canon import canonical_form
 from .counting import BipartitePattern, count_cliques, count_cycles, count_embeddings
 from .counting import count_k4_minus, count_kab, count_stars
 from .errors import EmptyDomainError, Graph6ParseError, InputError, SatlabError
-from .families import FamilySpec, make
 from .graph6 import from_graph6, read_graph6_lines, to_graph6
 from .graphs import Graph
 from .patterns import parse_pattern, pattern_graph
@@ -28,6 +26,11 @@ from .process import TrialStats, estimate_expected_count, run_ffree_process
 from .saturation import is_h_saturated, is_ks_saturated
 from .search import DEFAULT_EXTREMAL_CAP, count_pattern, min_count_over_saturated
 from .search import saturated_classes
+
+# bounds, families and csv serve construct and verify only; they are
+# imported inside those commands so the others do not load them
+if TYPE_CHECKING:
+    from .bounds import BoundReport
 
 _NON_ASSERTED_ROWS = {"kr_min_small_n"}
 
@@ -144,6 +147,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from .families import FamilySpec, make
+
     params = {}
     for key in ("n", "s", "a", "b"):
         value = getattr(args, key)
@@ -273,8 +278,10 @@ def _cmd_process(args) -> int:
     return 0
 
 
-def _verify_rows(suite: str, n_max: int, s: int) -> list[bnd.BoundReport]:
-    rows: list[bnd.BoundReport] = []
+def _verify_rows(suite: str, n_max: int, s: int) -> list[BoundReport]:
+    from . import bounds as bnd
+
+    rows: list[BoundReport] = []
     do_kkko = suite in ("kkko", "all")
     do_k4 = suite in ("k4minus", "all")
     do_p21 = suite in ("prop21", "all")
@@ -294,7 +301,8 @@ def _verify_rows(suite: str, n_max: int, s: int) -> list[bnd.BoundReport]:
     return rows
 
 
-def _formula_rows(n: int, s: int, pairs) -> list[bnd.BoundReport]:
+def _formula_rows(n: int, s: int, pairs) -> list[BoundReport]:
+    from . import bounds as bnd
     from .families import ehm_graph
 
     rows = []
@@ -327,7 +335,7 @@ def _formula_rows(n: int, s: int, pairs) -> list[bnd.BoundReport]:
                 context={"n": n, "s": s},
             )
         )
-    else:
+    elif s == 3:
         min_k12 = min(count_stars(g, 2) for g, _ in pairs)
         lower = bnd.k12_k3_lower(n)
         upper = comb(n - 1, 2)
@@ -359,6 +367,10 @@ def _formula_rows(n: int, s: int, pairs) -> list[bnd.BoundReport]:
 
 
 def _cmd_verify(args) -> int:
+    import csv
+
+    from . import bounds as bnd
+
     rows = _verify_rows(args.suite, args.n_max, args.s)
     writer = csv.writer(sys.stdout)
     print(bnd.CSV_SCHEMA_COMMENT)

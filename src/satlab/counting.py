@@ -7,7 +7,6 @@ once.  All counts are exact Python integers, so they cannot overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -18,20 +17,20 @@ from .graphs import Graph, bits_of, mask_of
 MAX_PATTERN_VERTICES = 8
 
 
-@dataclass(frozen=True)
-class BipartitePattern:
-    """Sides of a complete bipartite pattern K_{a,b}, normalized to a <= b."""
-
+class _BipartitePattern(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise InputError(f"pattern sides must be >= 1, got ({self.a},{self.b})")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+
+class BipartitePattern(_BipartitePattern):
+    """Sides of a complete bipartite pattern K_{a,b}, normalized to a <= b."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> BipartitePattern:
+        if a < 1 or b < 1:
+            raise InputError(f"pattern sides must be >= 1, got ({a},{b})")
+        return super().__new__(cls, min(a, b), max(a, b))
 
 
 def count_stars(g: Graph, t: int) -> int:

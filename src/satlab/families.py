@@ -8,20 +8,25 @@ constructions (Petersen and Hoffman-Singleton).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .graphs import Graph, join
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its integer parameters."""
-
+class _FamilySpec(NamedTuple):
     family: str
-    params: dict[str, int] = field(default_factory=dict)
+    params: dict[str, int]
+
+
+class FamilySpec(_FamilySpec):
+    """A family name plus its integer parameters (a fresh {} by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, params: dict[str, int] | None = None) -> FamilySpec:
+        return super().__new__(cls, family, {} if params is None else params)
 
 
 def empty_graph(n: int) -> Graph:

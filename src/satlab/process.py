@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .counting import check_pattern_size, contains_subgraph
 from .errors import InputError
@@ -67,8 +67,7 @@ def shuffled_pair_indices(n: int, seed: int) -> list[int]:
     return idx
 
 
-@dataclass(frozen=True)
-class ProcessTrace:
+class ProcessTrace(NamedTuple):
     """Deterministic record of one process run."""
 
     seed: int
@@ -140,8 +139,7 @@ def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
     )
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Sample statistics of an H-count over independent process runs."""
 
     trials: int
@@ -166,7 +164,7 @@ class TrialStats:
                    min=min(counts), max=max(counts))
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
 def estimate_expected_count(

@@ -7,30 +7,35 @@ an (s-2)-clique in the common neighborhood of the endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .counting import check_pattern_size, contains_subgraph, find_subgraph
 from .errors import InputError, PreconditionError
 from .graphs import Graph, bits_of
 
 
-@dataclass(frozen=True)
-class SaturationReport:
-    """Verdict of F-freeness and F-saturation with concrete witnesses."""
-
+class _SaturationReport(NamedTuple):
     is_free: bool
     is_saturated: bool
-    free_violation: frozenset[int] | None = None
-    saturation_violation: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        assert self.is_free == (self.free_violation is None)
-        if self.is_saturated:
-            assert self.is_free and self.saturation_violation is None
+    free_violation: frozenset[int] | None
+    saturation_violation: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class CliqueWitness:
+class SaturationReport(_SaturationReport):
+    """Verdict of F-freeness and F-saturation with concrete witnesses."""
+
+    __slots__ = ()
+
+    def __new__(cls, is_free: bool, is_saturated: bool,
+                free_violation: frozenset[int] | None = None,
+                saturation_violation: tuple[int, int] | None = None) -> SaturationReport:
+        assert is_free == (free_violation is None)
+        if is_saturated:
+            assert is_free and saturation_violation is None
+        return super().__new__(cls, is_free, is_saturated, free_violation, saturation_violation)
+
+
+class CliqueWitness(NamedTuple):
     """An (s-2)-clique inside N(u,v) certifying that adding uv makes K_s."""
 
     u: int
@@ -180,8 +185,7 @@ def clique_witness(g: Graph, u: int, v: int, s: int) -> CliqueWitness:
     )
 
 
-@dataclass(frozen=True)
-class WitnessHypergraph:
+class WitnessHypergraph(NamedTuple):
     """The (s-1)-uniform witness hypergraph of a vertex v.
 
     One edge {u} ∪ S_u per vertex u outside N[v], where S_u is the
@@ -194,7 +198,7 @@ class WitnessHypergraph:
     n: int
     ground: frozenset[int]
     edges: tuple[frozenset[int], ...]
-    outside: tuple[int, ...] = field(default=())
+    outside: tuple[int, ...] = ()
 
     def edge_count(self) -> int:
         return len(self.edges)

@@ -21,7 +21,6 @@ over all 2^C(n,2) graphs provides an independent cross-check at n <= 7.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -245,8 +244,7 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
     return LastLevels(need, complete)
 
 
-@dataclass(frozen=True)
-class SatRecord:
+class SatRecord(NamedTuple):
     """Exact sat(n, H, F) with the minimizers in canonical graph6 form."""
 
     n: int
@@ -258,7 +256,7 @@ class SatRecord:
     truncated: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SatRecord":

@@ -282,6 +282,18 @@ class TestVerify:
         assert code == 0
         assert "ehm_edges" in out and "k12_min" in out
 
+    @pytest.mark.parametrize("suite", ["formulas", "all"])
+    def test_s2_has_edge_rows_and_no_k3_window(self, capsys, suite):
+        # K_2-saturated means edgeless: the empty graph is the one class
+        # and ehm_edges is 0; the K_3 cherry window does not apply
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "6", "--s", "2")
+        assert code == 0, err
+        rows = out.splitlines()[2:]
+        assert [r for r in rows if r.startswith("ehm_edges,")] == [
+            f"ehm_edges,{n},2,,0,0,True,True" for n in range(2, 7)
+        ]
+        assert "k12_k3_window" not in out
+
     def test_prop21_suite_reports_violations_honestly(self, capsys):
         # the desk-scale counterexamples below the star floor force exit 1
         code, out, err = run(capsys, "verify", "--suite", "prop21", "--n-max", "5", "--s", "3")
@@ -303,7 +315,7 @@ class TestRemovedOptions:
 
 class TestJsonBytes:
     """Each record type's JSON, byte for byte: the field lists live only
-    in the dataclasses."""
+    in the record classes."""
 
     def test_sat_record(self):
         rec = SatRecord(n=5, h="k_1_2", f="k_3", min_count=5, extremal=("DUW", "Dhc"),
