@@ -106,14 +106,23 @@ def ehm_k22(n: int, s: int) -> int:
 def degree_square_rhs(n: int, s: int) -> int:
     """Floor for the degree-square sum: (n-1)^2 (s-2) + (s-2)^2 (n-s+2)."""
     _require(n >= s >= 2, f"degree_square_rhs needs n >= s >= 2, got n={n}, s={s}")
-    return (n - 1) ** 2 * (s - 2) + (s - 2) ** 2 * (n - s + 2)
+    return _degree_square_floor(n, s)
 
 
 def star_floor(n: int, s: int, t: int) -> float:
     """Star-count floor: ((n-1)^2 (s-2) + (s-2)^2 (n-s+2))^{t/2} / (t^t n^{t/2-1})."""
     _require(n >= s >= 3, f"star_floor needs n >= s >= 3, got n={n}, s={s}")
     _require(t >= 2, f"star_floor needs t >= 2, got t={t}")
-    base = degree_square_rhs(n, s)
+    return _star_floor_of(_degree_square_floor(n, s), n, t)
+
+
+def _degree_square_floor(n: int, s: int) -> int:
+    """``degree_square_rhs`` unchecked: the checkers take any graph."""
+    return (n - 1) ** 2 * (s - 2) + (s - 2) ** 2 * (n - s + 2)
+
+
+def _star_floor_of(base: int, n: int, t: int) -> float:
+    """``star_floor`` from its degree-square base, unchecked; n > 0."""
     return base ** (t / 2) / (t ** t * n ** (t / 2 - 1))
 
 
@@ -163,7 +172,7 @@ def check_kkko(g: Graph, s: int) -> tuple[BoundReport, BoundReport]:
         context={"n": n, "s": s},
     )
     lhs5 = sum(d * d for d in degs)
-    rhs5 = (n - 1) ** 2 * (s - 2) + (s - 2) ** 2 * (n - s + 2)
+    rhs5 = _degree_square_floor(n, s)
     eq5 = BoundReport(
         name="degree_squares",
         lhs=lhs5,
@@ -217,8 +226,8 @@ def check_star_bound(g: Graph, s: int, t: int) -> BoundReport:
     _require(t >= 2, f"check_star_bound needs t >= 2, got t={t}")
     n = g.n
     lhs = count_stars(g, t)
-    base = (n - 1) ** 2 * (s - 2) + (s - 2) ** 2 * (n - s + 2)
-    rhs_display = base ** (t / 2) / (t ** t * n ** (t / 2 - 1)) if n > 0 else 0.0
+    base = _degree_square_floor(n, s)
+    rhs_display = _star_floor_of(base, n, t) if n > 0 else 0.0
     if n == 0:
         holds, equality = True, lhs == 0
     else:

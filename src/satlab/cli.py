@@ -23,7 +23,7 @@ from .graph6 import from_graph6, read_graph6_lines, to_graph6
 from .graphs import Graph
 from .patterns import parse_pattern, pattern_graph
 from .process import TrialStats, estimate_expected_count, run_ffree_process
-from .saturation import is_h_saturated, is_ks_saturated
+from .saturation import _check_saturation_pattern, is_h_saturated, is_ks_saturated
 from .search import DEFAULT_EXTREMAL_CAP, count_pattern, min_count_over_saturated
 from .search import saturated_classes
 
@@ -160,8 +160,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    graphs = _read_graphs(args.input)
-
     def need(name: str) -> int:
         value = getattr(args, name)
         if value is None:
@@ -189,7 +187,7 @@ def _cmd_count(args) -> int:
         pat = from_graph6(args.g6)
         label, counter = f"g6:{args.g6}", lambda g: count_embeddings(g, pat)
 
-    for g in graphs:
+    for g in _read_graphs(args.input):
         print(
             json.dumps(
                 {"graph": to_graph6(g), "pattern": label, "count": counter(g)},
@@ -211,22 +209,21 @@ def _report_json(report) -> dict:
 
 
 def _cmd_check(args) -> int:
-    if args.sat == "ks" and args.pattern is not None:
-        raise InputError("--pattern applies only to --sat pattern")
-    if args.sat == "pattern" and args.s is not None:
-        raise InputError("--s applies only to --sat ks")
-    graphs = _read_graphs(args.input)
     if args.sat == "ks":
+        if args.pattern is not None:
+            raise InputError("--pattern applies only to --sat pattern")
         if args.s is None:
             raise InputError("--sat ks requires --s")
-        reports = [(g, is_ks_saturated(g, args.s)) for g in graphs]
-        label = f"k_{args.s}"
+        label, verdict = f"k_{args.s}", lambda g: is_ks_saturated(g, args.s)
     else:
+        if args.s is not None:
+            raise InputError("--s applies only to --sat ks")
         if not args.pattern:
             raise InputError("--sat pattern requires --pattern")
         h = pattern_graph(parse_pattern(args.pattern))
-        reports = [(g, is_h_saturated(g, h)) for g in graphs]
-        label = args.pattern
+        _check_saturation_pattern(h)
+        label, verdict = args.pattern, lambda g: is_h_saturated(g, h)
+    reports = [(g, verdict(g)) for g in _read_graphs(args.input)]
     for g, rep in reports:
         out = {"graph": to_graph6(g), "pattern": label}
         out.update(_report_json(rep))
@@ -249,7 +246,8 @@ def _cmd_search(args) -> int:
             shard = (int(idx), int(total))
         except ValueError as exc:
             raise InputError(f"bad --shard {args.shard!r}; expected i/k") from exc
-    source = iter(_read_graphs(args.input)) if args.input else None
+    # read on first use, after the search has checked every argument
+    source = chain.from_iterable(map(_read_graphs, [args.input])) if args.input else None
     record = min_count_over_saturated(
         args.n, args.h, f, shard=shard, source=source, max_extremal=args.max_extremal
     )

@@ -44,6 +44,11 @@ def parse_pattern(text: str) -> PatternSpec:
     )
 
 
+def _as_pattern(p: PatternSpec | str) -> PatternSpec:
+    """A pattern given either as a token or as a parsed spec."""
+    return parse_pattern(p) if isinstance(p, str) else p
+
+
 def format_pattern(p: PatternSpec) -> str:
     kind, value = p
     if kind == "clique":

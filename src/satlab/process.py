@@ -13,13 +13,13 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
-from .counting import check_pattern_size, contains_subgraph
+from .counting import contains_subgraph
 from .errors import InputError
 from .graph6 import to_graph6
 from .graphs import Graph
-from .patterns import PatternSpec, format_pattern, parse_pattern, pattern_graph
+from .patterns import PatternSpec, _as_pattern, format_pattern
 from .saturation import _find_clique
-from .search import count_pattern
+from .search import _check_n, _forbidden_graph, count_pattern
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,19 +93,12 @@ class ProcessTrace(NamedTuple):
 
 def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
     """One seeded run; the result is F-saturated by construction."""
-    if n < 0:
-        raise InputError(f"need n >= 0, got n={n}")
-    f = parse_pattern(f) if isinstance(f, str) else f
+    _check_n(n)
+    f = _as_pattern(f)
     kind, value = f
-    if kind == "clique":
-        if value < 3:
-            raise InputError(f"process needs clique order >= 3, got {value}")
-        fgraph = None
-    else:
-        fgraph = pattern_graph(f)
-        if fgraph.edge_count() == 0:
-            raise InputError("process pattern needs at least one edge")
-        check_pattern_size(fgraph)
+    if kind == "clique" and value < 3:
+        raise InputError(f"process needs clique order >= 3, got {value}")
+    fgraph = _forbidden_graph(f)
     pairs = pair_order(n)
     order = shuffled_pair_indices(n, seed)
     rows = [0] * n
@@ -181,7 +174,7 @@ def estimate_expected_count(
     """
     if trials < 1:
         raise InputError(f"need trials >= 1, got {trials}")
-    h = parse_pattern(h) if isinstance(h, str) else h
+    h = _as_pattern(h)
     return TrialStats.from_counts(
         [count_pattern(run_ffree_process(n, f, seed + i).result, h) for i in range(trials)]
     )

@@ -124,9 +124,7 @@ def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
     One embedding search decides freeness and gives the witness; on an
     h-free g, ``_uncompleted_non_edge`` gives the saturation witness.
     """
-    check_pattern_size(h)
-    if h.edge_count() == 0:
-        raise InputError("saturation pattern needs at least one edge")
+    _check_saturation_pattern(h)
     copy = find_subgraph(g, h)
     if copy is not None:
         return SaturationReport(False, False, free_violation=copy)
@@ -134,6 +132,14 @@ def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
     if pair is not None:
         return SaturationReport(True, False, saturation_violation=pair)
     return SaturationReport(True, True)
+
+
+def _check_saturation_pattern(h: Graph) -> None:
+    """The one check of a pattern graph as a forbidden F: at most
+    MAX_PATTERN_VERTICES vertices and at least one edge."""
+    check_pattern_size(h)
+    if h.edge_count() == 0:
+        raise InputError("saturation pattern needs at least one edge")
 
 
 def _uncompleted_non_edge(rows: tuple[int, ...], n: int, h: Graph) -> tuple[int, int] | None:

@@ -26,20 +26,14 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .canon import canonical_form, canonical_rows, is_canonical
-from .counting import (
-    check_pattern_size,
-    contains_subgraph,
-    count_cliques,
-    count_cycles,
-    count_embeddings,
-    count_kab,
-)
+from .counting import contains_subgraph, count_cliques, count_cycles, count_embeddings, count_kab
 from .errors import EmptyDomainError, InputError
 # from_graph6 is unused here but kept: perfbench/tracer.py binds satlab.search.from_graph6
 from .graph6 import column, from_graph6, to_graph6
 from .graphs import Graph
-from .patterns import PatternSpec, format_pattern, parse_pattern, pattern_graph
-from .saturation import _find_clique, _uncompleted_non_edge, is_h_saturated, is_ks_saturated
+from .patterns import PatternSpec, _as_pattern, format_pattern, pattern_graph
+from .saturation import _check_saturation_pattern, _find_clique, _uncompleted_non_edge
+from .saturation import is_h_saturated, is_ks_saturated
 
 MAX_ENUM_VERTICES = 9
 #: Largest n of the saturated K_s search, per s: what one CLI search
@@ -66,11 +60,17 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     Yields canonically labeled representatives in sorted canonical-form
     order by orderly generation; n <= 9.
     """
-    if n > MAX_ENUM_VERTICES:
-        raise InputError(f"enumeration supports n <= {MAX_ENUM_VERTICES}, got n={n}")
+    _check_n(n, MAX_ENUM_VERTICES, "enumeration")
+    yield from _enumerate(n, None)
+
+
+def _check_n(n: int, cap: int | None = None, what: str = "", scope: str = "") -> None:
+    """The one range check of a graph order: n >= 0 everywhere and, where
+    the caller has a cap, n <= cap ("<what> supports n <= <cap><scope>")."""
     if n < 0:
         raise InputError(f"need n >= 0, got n={n}")
-    yield from _enumerate(n, None)
+    if cap is not None and n > cap:
+        raise InputError(f"{what} supports n <= {cap}{scope}, got n={n}")
 
 
 class LastLevels(NamedTuple):
@@ -244,6 +244,36 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
     return LastLevels(need, complete)
 
 
+def _forbidden_graph(f: PatternSpec) -> Graph | None:
+    """The one check of a forbidden pattern F.  A clique needs order
+    >= 2 and gives None: its searches work on K_s directly.  Any other
+    pattern is returned as a graph, which needs at least one edge and
+    at most ``MAX_PATTERN_VERTICES`` vertices."""
+    kind, value = f
+    if kind == "clique":
+        if value < 2:
+            raise InputError(f"saturation needs clique order >= 2, got {value}")
+        return None
+    fgraph = pattern_graph(f)
+    _check_saturation_pattern(fgraph)
+    return fgraph
+
+
+def _forbidden(f: PatternSpec) -> tuple:
+    """The one K_s-or-pattern dispatch: (the search's largest n, the
+    label of its cap message, the child filter and the ``LastLevels`` of
+    ``_enumerate``, the saturation verdict on any graph).  The verdict
+    looks up ``is_ks_saturated`` or ``is_h_saturated`` when called, so a
+    rebound module name is the one it calls."""
+    fgraph = _forbidden_graph(f)
+    if fgraph is None:
+        s = f[1]
+        return (ks_search_cap(s), f"clique F with s={s}", _keep_ks_free(s),
+                _ks_saturation_levels(s), lambda g: is_ks_saturated(g, s).is_saturated)
+    return (MAX_PATTERN_SEARCH_VERTICES, "pattern F", _keep_pattern_free(fgraph),
+            _pattern_saturation_levels(fgraph), lambda g: is_h_saturated(g, fgraph).is_saturated)
+
+
 class SatRecord(NamedTuple):
     """Exact sat(n, H, F) with the minimizers in canonical graph6 form."""
 
@@ -336,28 +366,9 @@ def saturated_stream(
     only source graphs are tested by ``is_ks_saturated`` or
     ``is_h_saturated``.
     """
-    kind, value = f
-    if kind == "clique":
-        if value < 2:
-            raise InputError(f"saturation needs clique order >= 2, got {value}")
-        cap, label = ks_search_cap(value), f"clique F with s={value}"
-        keep, last = _keep_ks_free(value), _ks_saturation_levels(value)
-
-        def saturated(g: Graph) -> bool:
-            return is_ks_saturated(g, value).is_saturated
-    else:
-        fgraph = pattern_graph(f)
-        if fgraph.edge_count() == 0:
-            raise InputError("saturation pattern needs at least one edge")
-        check_pattern_size(fgraph)
-        cap, label = MAX_PATTERN_SEARCH_VERTICES, "pattern F"
-        keep, last = _keep_pattern_free(fgraph), _pattern_saturation_levels(fgraph)
-
-        def saturated(g: Graph) -> bool:
-            return is_h_saturated(g, fgraph).is_saturated
+    cap, label, keep, last, saturated = _forbidden(f)
+    _check_n(n, cap if source is None else None, "search", f" for {label}")
     if source is None:
-        if n > cap:
-            raise InputError(f"search supports n <= {cap} for {label}, got n={n}")
         for g in _enumerate(n, keep, last):
             yield g, to_graph6(g)
         return
@@ -383,33 +394,39 @@ def min_count_over_saturated(
     residue i mod k; shard records merge back with ``merge_records``.
     """
     _check_extremal_cap(max_extremal)
-    h = parse_pattern(h) if isinstance(h, str) else h
-    f = parse_pattern(f) if isinstance(f, str) else f
+    h, f = _as_pattern(h), _as_pattern(f)
     if shard is not None:
         idx, total = shard
         if not (total >= 1 and 0 <= idx < total):
             raise InputError(f"bad shard {shard}: need 0 <= index < total")
-    best: int | None = None
-    minimizers: list[str] = []
-    searched = 0
     pairs = saturated_classes(n, f) if source is None else saturated_stream(n, f, source=source)
-    for g, form in pairs:
-        if shard is not None and _shard_key(form) % shard[1] != shard[0]:
-            continue
+    best, forms, searched = _fold_minimum(
+        ((count_pattern(g, h), form) for g, form in pairs
+         if shard is None or _shard_key(form) % shard[1] == shard[0]),
+        f"no {format_pattern(f)}-saturated graph on {n} vertices"
+        + (" in this shard" if shard else ""),
+    )
+    return _sat_record(n, format_pattern(h), format_pattern(f), best, forms,
+                       searched, max_extremal)
+
+
+def _fold_minimum(scored: Iterable[tuple[int, object]], empty: str) -> tuple[int, list, int]:
+    """The one minimum fold of the search and the oracle: the least
+    count, the items that attain it in order, and the number of items;
+    ``EmptyDomainError(empty)`` when there are none."""
+    best: int | None = None
+    minimizers: list = []
+    searched = 0
+    for c, item in scored:
         searched += 1
-        c = count_pattern(g, h)
         if best is None or c < best:
             best = c
-            minimizers = [form]
+            minimizers = [item]
         elif c == best:
-            minimizers.append(form)
+            minimizers.append(item)
     if best is None:
-        raise EmptyDomainError(
-            f"no {format_pattern(f)}-saturated graph on {n} vertices"
-            + (" in this shard" if shard else "")
-        )
-    return _sat_record(n, format_pattern(h), format_pattern(f), best, minimizers,
-                       searched, max_extremal)
+        raise EmptyDomainError(empty)
+    return best, minimizers, searched
 
 
 def merge_records(records: Iterable[SatRecord], *,
@@ -478,60 +495,29 @@ def brute_force_labeled(
     labeled graphs, not classes.
     """
     _check_extremal_cap(max_extremal)
-    if n > 7:
-        raise InputError(f"labeled brute force supports n <= 7, got n={n}")
-    if n < 0:
-        raise InputError(f"need n >= 0, got n={n}")
-    h = parse_pattern(h) if isinstance(h, str) else h
-    f = parse_pattern(f) if isinstance(f, str) else f
-    kind, value = f
-    fgraph = None if kind == "clique" else pattern_graph(f)
-    if fgraph is not None and fgraph.edge_count() == 0:
-        raise InputError("saturation pattern needs at least one edge")
+    _check_n(n, 7, "labeled brute force")
+    h, f = _as_pattern(h), _as_pattern(f)
+    *_, saturated = _forbidden(f)
+    cache: dict[tuple[int, ...], int] = {}
 
-    best: int | None = None
-    minimizer_rows: list[tuple[int, ...]] = []
-    searched = 0
-    cache: dict[tuple[int, ...], tuple[bool, int]] = {}
+    def count(rows: tuple[int, ...]) -> int:
+        # the H-count of a saturated graph, -1 for any other
+        key = _degree_sorted_key(rows, n) if use_cache else rows
+        c = cache.get(key)
+        if c is None:
+            g = Graph._from_rows_unchecked(n, key)
+            c = count_pattern(g, h) if saturated(g) else -1
+            if use_cache:
+                cache[key] = c
+        return c
 
-    for rows in _labeled_rows(n):
-        if use_cache:
-            key = _degree_sorted_key(rows, n)
-            hit = cache.get(key)
-            if hit is None:
-                hit = _evaluate_labeled(key, n, h, f, fgraph)
-                cache[key] = hit
-            sat, c = hit
-        else:
-            sat, c = _evaluate_labeled(rows, n, h, f, fgraph)
-        if not sat:
-            continue
-        searched += 1
-        if best is None or c < best:
-            best = c
-            minimizer_rows = [rows]
-        elif c == best:
-            minimizer_rows.append(rows)
-    if best is None:
-        raise EmptyDomainError(
-            f"no {format_pattern(f)}-saturated graph on {n} vertices"
-        )
+    best, minimizer_rows, searched = _fold_minimum(
+        ((c, rows) for rows in _labeled_rows(n) if (c := count(rows)) >= 0),
+        f"no {format_pattern(f)}-saturated graph on {n} vertices",
+    )
     forms = (canonical_form(Graph._from_rows_unchecked(n, r)) for r in minimizer_rows)
     return _sat_record(n, format_pattern(h), format_pattern(f), best, forms,
                        searched, max_extremal)
-
-
-def _evaluate_labeled(
-    rows: tuple[int, ...], n: int, h: PatternSpec, f: PatternSpec, fgraph: Graph | None
-) -> tuple[bool, int]:
-    g = Graph._from_rows_unchecked(n, rows)
-    if fgraph is None:
-        report = is_ks_saturated(g, f[1])
-    else:
-        report = is_h_saturated(g, fgraph)
-    if not report.is_saturated:
-        return False, 0
-    return True, count_pattern(g, h)
 
 
 def count_classes(n: int) -> int:
@@ -546,10 +532,7 @@ def count_classes_labeled(n: int) -> int:
     forms (n <= 7); memoizes on degree-sorted rows, which leaves the
     result unchanged.
     """
-    if n > 7:
-        raise InputError(f"labeled scan supports n <= 7, got n={n}")
-    if n < 0:
-        raise InputError(f"need n >= 0, got n={n}")
+    _check_n(n, 7, "labeled scan")
     forms: set[str] = set()
     cache: dict[tuple[int, ...], str] = {}
     for rows in _labeled_rows(n):

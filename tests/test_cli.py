@@ -141,6 +141,12 @@ class TestSearch:
         assert code == 2 and out == ""
         assert "--s applies only to --f ks" in err
 
+    @pytest.mark.parametrize("f", ["k_3", "c_4"])
+    def test_negative_n_is_usage_error(self, capsys, f):
+        code, out, err = run(capsys, "search", "--n", "-1", "--h", "k_2", "--f", f)
+        assert code == 2 and out == ""
+        assert "need n >= 0, got n=-1" in err
+
     # pinned from the search that tested every enumerated class with
     # is_h_saturated, before the last level decided saturation itself
     @pytest.mark.parametrize("f,line", [
@@ -205,6 +211,34 @@ class TestSearch:
             capsys, "search", "--n", "5", "--h", "k_2_2", "--f", "k_3", "-i", str(src)
         )
         assert code == 0 and SatRecord.from_json(out).min_count == 0
+
+
+class TestFlagsBeforeInput:
+    """A usage error in the flags exits 2 before any input is read: a
+    missing input file would otherwise exit 3, and stdin would be read
+    to its end first."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("check", "--sat", "ks"), "--sat ks requires --s"),
+        (("check", "--sat", "pattern"), "--sat pattern requires --pattern"),
+        (("check", "--sat", "pattern", "--pattern", "bogus"), "bad pattern 'bogus'"),
+        (("check", "--sat", "pattern", "--pattern", "g6:B?"), "at least one edge"),
+        (("count", "--pattern", "star"), "requires --t"),
+        (("count", "--pattern", "kab", "--a", "2"), "requires --b"),
+        (("count", "--pattern", "clique"), "requires --r"),
+        (("count", "--pattern", "cycle"), "requires --r"),
+        (("count", "--pattern", "embed"), "requires --g6"),
+        (("search", "--n", "5", "--h", "bogus", "--f", "k_3"), "bad pattern 'bogus'"),
+        (("search", "--n", "5", "--h", "k_2", "--f", "bogus"), "bad pattern 'bogus'"),
+        (("search", "--n", "5", "--h", "k_2", "--f", "g6:B?"), "at least one edge"),
+        (("search", "--n", "-1", "--h", "k_2", "--f", "k_3"), "need n >= 0"),
+    ], ids=["check_ks_no_s", "check_no_pattern", "check_bad_pattern", "check_edgeless",
+            "count_star", "count_kab", "count_clique", "count_cycle", "count_embed",
+            "search_bad_h", "search_bad_f", "search_edgeless_f", "search_negative_n"])
+    def test_usage_error_before_missing_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "-i", "/nonexistent.g6")
+        assert code == 2 and out == ""
+        assert message in err
 
 
 class TestProcess:

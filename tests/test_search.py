@@ -21,6 +21,7 @@ from satlab import (
     parse_pattern,
     pattern_graph,
     petersen,
+    run_ffree_process,
     to_graph6,
 )
 from satlab.graphs import Graph
@@ -309,6 +310,43 @@ class TestBruteForceOracle:
     def test_rejects_large_n(self):
         with pytest.raises(InputError):
             brute_force_labeled(8, "k_2", "k_3")
+
+
+class TestOneRuleForF:
+    """F and n are checked in one place each: the search, the minimum over
+    it and the labeled oracle give the same InputError for the same bad
+    input, and the process differs only by its own s >= 3 rule."""
+
+    # g6:B? is the edgeless graph on 3 vertices; K_{4,5} has 9 vertices
+    @pytest.mark.parametrize("token,message", [
+        ("k_1", "saturation needs clique order >= 2, got 1"),
+        ("g6:B?", "saturation pattern needs at least one edge"),
+        ("k_4_5", "pattern has 9 vertices, beyond the 8 cap"),
+    ], ids=["k_1", "edgeless", "nine_vertices"])
+    def test_same_message_from_every_entry_point(self, token, message):
+        calls = [
+            lambda: next(saturated_stream(3, parse_pattern(token))),
+            lambda: min_count_over_saturated(3, "k_2", token),
+            lambda: brute_force_labeled(3, "k_2", token),
+        ]
+        if token != "k_1":
+            calls.append(lambda: run_ffree_process(3, token, 0))
+        for call in calls:
+            with pytest.raises(InputError) as raised:
+                call()
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("f", ["k_3", "c_4"])
+    def test_negative_n_is_an_input_error(self, f):
+        for call in (
+            lambda: min_count_over_saturated(-1, "k_2", f),
+            lambda: next(saturated_stream(-1, parse_pattern(f))),
+            lambda: next(saturated_stream(-1, parse_pattern(f), source=[])),
+            lambda: brute_force_labeled(-1, "k_2", f),
+        ):
+            with pytest.raises(InputError) as raised:
+                call()
+            assert str(raised.value) == "need n >= 0, got n=-1"
 
 
 class TestSharding:
