@@ -220,22 +220,32 @@ def _injections(g: Graph, rooted: _Order, count_all: bool,
     found, candidates tried in ascending vertex order.  With ``start``
     > 0 the first ``start`` slots are already filled (the anchors), and
     the caller has checked that they are distinct and edge-preserving.
+    The last position is decided by its candidate mask alone: the count
+    is its size, and a witness takes its lowest vertex.
     """
     order, back = rooted
     n = len(order)
     if n > g.n:
         return 0
+    if start == n:
+        return 1
     if image is None:
         image = [0] * n
     gfull = g.vertex_mask
     grows = g.rows
+    last = n - 1
 
     def rec(i: int, used: int) -> int:
-        if i == n:
-            return 1
         cand = gfull & ~used
         for j in back[i]:
             cand &= grows[image[j]]
+        if i == last:
+            if count_all:
+                return cand.bit_count()
+            if cand:
+                image[i] = (cand & -cand).bit_length() - 1
+                return 1
+            return 0
         total = 0
         while cand:
             low = cand & -cand

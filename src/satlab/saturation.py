@@ -7,7 +7,7 @@ an (s-2)-clique in the common neighborhood of the endpoints.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .counting import check_pattern_size, contains_subgraph, find_subgraph
 from .errors import InputError, PreconditionError
@@ -122,13 +122,14 @@ def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
     """Saturation report for an arbitrary pattern (h.n <= 8, >= 1 edge).
 
     One embedding search decides freeness and gives the witness; on an
-    h-free g, ``_uncompleted_non_edge`` gives the saturation witness.
+    h-free g, the first of ``_uncompleted_non_edges`` is the saturation
+    witness.
     """
     _check_saturation_pattern(h)
     copy = find_subgraph(g, h)
     if copy is not None:
         return SaturationReport(False, False, free_violation=copy)
-    pair = _uncompleted_non_edge(g.rows, g.n, h)
+    pair = next(_uncompleted_non_edges(g.rows, g.n, h), None)
     if pair is not None:
         return SaturationReport(True, False, saturation_violation=pair)
     return SaturationReport(True, True)
@@ -142,31 +143,30 @@ def _check_saturation_pattern(h: Graph) -> None:
         raise InputError("saturation pattern needs at least one edge")
 
 
-def _uncompleted_non_edge(rows: tuple[int, ...], n: int, h: Graph) -> tuple[int, int] | None:
-    """Lowest non-edge uv (u < v) of an h-free graph on ``rows`` with no
-    copy of h in g + uv, or None when every non-edge completes one.
+def _uncompleted_non_edges(rows: tuple[int, ...], n: int, h: Graph,
+                           pairs: Iterable[tuple[int, int]] | None = None
+                           ) -> Iterator[tuple[int, int]]:
+    """Each non-edge uv (u < v) of the graph on ``rows``, lowest first,
+    with no copy of h through the edge uv in g + uv; with ``pairs``,
+    each of those non-edges in their order.
 
-    The graph is h-free, so a copy in g + uv uses the edge uv: one
-    search anchored on it decides each non-edge.  This is the one
-    per-non-edge loop, shared by ``is_h_saturated`` and the pattern
-    search's last level.
+    On an h-free graph a copy in g + uv uses the edge uv, so one search
+    anchored on it decides each non-edge.  This is the one per-non-edge
+    loop, shared by ``is_h_saturated`` and the pattern search's last
+    two levels.
     """
-    full = (1 << n) - 1
-    for u in range(n):
-        # non-neighbors v > u
-        m = ~rows[u] & full & -(2 << u)
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            added = list(rows)
-            added[u] |= low
-            added[v] |= 1 << u
-            if not contains_subgraph(
-                Graph._from_rows_unchecked(n, tuple(added)), h, through=(u, v)
-            ):
-                return u, v
-    return None
+    if pairs is None:
+        # lazily, lowest first: is_h_saturated stops at the first miss
+        full = (1 << n) - 1
+        pairs = ((u, v) for u in range(n) for v in bits_of(~rows[u] & full & -(2 << u)))
+    for u, v in pairs:
+        added = list(rows)
+        added[u] |= 1 << v
+        added[v] |= 1 << u
+        if not contains_subgraph(
+            Graph._from_rows_unchecked(n, tuple(added)), h, through=(u, v)
+        ):
+            yield u, v
 
 
 def clique_witness(g: Graph, u: int, v: int, s: int) -> CliqueWitness:

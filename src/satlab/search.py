@@ -9,13 +9,14 @@ exactly once, from its canonical labeling with the last vertex removed,
 and no table of seen forms is needed.  A hereditary "stay F-free" filter
 prunes the tree when minimizing over F-saturated graphs (an induced
 subgraph of an F-free graph is F-free, so pruning is exact).  A second
-hook decides saturation on the last levels before the canonicity test,
-so no enumerated graph is tested again.  For F = K_s a graph on n-1
-vertices is dropped when no last vertex can complete its witness-less
-non-edges, and a last-level child is tested for saturation on its rows.
-For any other F the last-level child, already F-free, is tested with
-one search anchored on each non-edge.  A labeled brute-force oracle
-over all 2^C(n,2) graphs provides an independent cross-check at n <= 7.
+hook, ``LastLevels``, decides saturation on the last two levels, so no
+enumerated graph is tested again: a graph on n-1 vertices is dropped
+when no last vertex can saturate it, else it hands its last level the
+vertices the last vertex must see (F = K_s) or its non-edges with no
+copy of F through them (any other F); a last-level column that cannot
+complete these is skipped unbuilt, and a last-level child is tested for
+saturation on its rows.  A labeled brute-force oracle over all
+2^C(n,2) graphs provides an independent cross-check at n <= 7.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .counting import contains_subgraph, count_cliques, count_cycles, count_embe
 from .errors import EmptyDomainError, InputError
 # from_graph6 is unused here but kept: perfbench/tracer.py binds satlab.search.from_graph6
 from .graph6 import column, from_graph6, to_graph6
-from .graphs import Graph
+from .graphs import Graph, bits_of
 from .patterns import PatternSpec, _as_pattern, format_pattern, pattern_graph
-from .saturation import _check_saturation_pattern, _find_clique, _uncompleted_non_edge
+from .saturation import _check_saturation_pattern, _find_clique, _uncompleted_non_edges
 from .saturation import is_h_saturated, is_ks_saturated
 
 MAX_ENUM_VERTICES = 9
@@ -74,19 +75,23 @@ def _check_n(n: int, cap: int | None = None, what: str = "", scope: str = "") ->
 
 
 class LastLevels(NamedTuple):
-    """Checks for the last two levels of ``_enumerate``, run before the
-    canonicity test; unlike ``child_keep`` they need not be hereditary.
+    """Checks for the last two levels of ``_enumerate``; unlike
+    ``child_keep`` they need not be hereditary.
 
-    ``need(rows, k)`` sees each child on k = n-1 vertices: -1 drops it,
-    else it is the set of vertices the last vertex must be adjacent to
-    (always 0 for a pattern F, which constrains no neighbourhood).  On
-    the last level a column missing any of that set is skipped before
-    the child is built, and ``complete(rows, n, need)`` sees each child
-    that ``child_keep`` keeps.
+    ``need(rows, k)`` sees each child on k = n-1 vertices, ahead of the
+    canonicity test when ``need_first`` is set and after it otherwise:
+    None drops the child, anything else is the state its own children
+    read.  On the last level ``column(state, subset)`` decides each
+    column before the child is built; without a ``column`` the state is
+    the set of vertices the last vertex must be adjacent to, tested
+    inline.  ``complete(rows, n, state)`` sees each child that
+    ``child_keep`` keeps.
     """
 
-    need: Callable[[tuple[int, ...], int], int]
-    complete: Callable[[tuple[int, ...], int, int], bool]
+    need: Callable[[tuple[int, ...], int], object]
+    complete: Callable[[tuple[int, ...], int, object], bool]
+    column: Callable[[object, int], bool] | None
+    need_first: bool
 
 
 def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] | None,
@@ -96,8 +101,9 @@ def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] |
     from) for the stream to cover every class satisfying it.  ``last``
     adds the checks of ``LastLevels`` on levels n-1 and n.  When
     ``need`` drops only graphs with no child that ``complete`` accepts,
-    and skips only such columns, the stream is the unhooked one filtered
-    by ``complete``, graph by graph and in the same order.
+    and the column test skips only such columns, the stream is the
+    unhooked one filtered by ``complete``, graph by graph and in the
+    same order.
 
     Depth-first orderly generation.  A child's minimal string is its
     parent's followed by the new vertex's column, so visiting parents in
@@ -115,17 +121,24 @@ def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] |
     # column, which no deeper vertex changes
     ident = [0] * n
 
-    def grow(prows: tuple[int, ...], k: int, last_col: int, need: int) -> Iterator[Graph]:
+    def grow(prows: tuple[int, ...], k: int, last_col: int, state: object) -> Iterator[Graph]:
         if k == n:
             yield Graph._from_rows_unchecked(n, prows)
             return
         cols = subsets[k]
         final = last is not None and k + 1 == n
         ahead = last is not None and k + 2 == n
-        cneed = 0
+        early = ahead and last.need_first
+        late = ahead and not last.need_first
+        column = last.column if final else None
+        inline = final and column is None
+        cstate = None
         for col in range(last_col << 1, 1 << k):
             subset = cols[col]
-            if final and subset & need != need:
+            if inline:
+                if subset & state != state:
+                    continue
+            elif column is not None and not column(state, subset):
                 continue
             if child_keep is not None and not child_keep(prows, k, subset):
                 continue
@@ -133,19 +146,23 @@ def _enumerate(n: int, child_keep: Callable[[tuple[int, ...], int, int], bool] |
                 r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
             ) + (subset,)
             if final:
-                if not last.complete(child, n, need):
+                if not last.complete(child, n, state):
                     continue
-            elif ahead:
-                cneed = last.need(child, k + 1)
-                if cneed < 0:
+            elif early:
+                cstate = last.need(child, k + 1)
+                if cstate is None:
                     continue
             ident[k] = col
             if is_canonical(child, k + 1, ident):
-                yield from grow(child, k + 1, col, cneed)
+                if late:
+                    cstate = last.need(child, k + 1)
+                    if cstate is None:
+                        continue
+                yield from grow(child, k + 1, col, cstate)
 
-    root_need = last.need((0,), 1) if last is not None and n == 2 else 0
-    if root_need >= 0:
-        yield from grow((0,), 1, 0, root_need)  # K_1
+    root = last.need((0,), 1) if last is not None and n == 2 else 0
+    if root is not None:
+        yield from grow((0,), 1, 0, root)  # K_1
 
 
 def _keep_ks_free(s: int) -> Callable[[tuple[int, ...], int, int], bool]:
@@ -172,7 +189,7 @@ def _ks_saturation_levels(s: int) -> LastLevels:
     every other non-edge keeps its parent's witness.
     """
 
-    def need(rows: tuple[int, ...], k: int) -> int:
+    def need(rows: tuple[int, ...], k: int) -> int | None:
         u_mask = 0
         for u in range(k):
             ru = rows[u]
@@ -184,9 +201,9 @@ def _ks_saturation_levels(s: int) -> LastLevels:
                 common = ru & rows[low.bit_length() - 1]
                 if _find_clique(rows, common, s - 2) < 0:
                     if _find_clique(rows, common, s - 3) < 0:
-                        return -1
+                        return None
                     u_mask |= 1 << u | low
-        return -1 if _find_clique(rows, u_mask, s - 1) >= 0 else u_mask
+        return None if _find_clique(rows, u_mask, s - 1) >= 0 else u_mask
 
     def complete(rows: tuple[int, ...], n: int, need: int) -> bool:
         m = need
@@ -209,7 +226,10 @@ def _ks_saturation_levels(s: int) -> LastLevels:
                 return False
         return True
 
-    return LastLevels(need, complete)
+    # need runs ahead of is_canonical: it drops most level n-1 children
+    # for less than the canonicity test costs (n=10 K_4, single runs on
+    # a 2.1 GHz Xeon: 65 s with need after it, 5.3 s ahead of it)
+    return LastLevels(need, complete, column=None, need_first=True)
 
 
 def _keep_pattern_free(f: Graph) -> Callable[[tuple[int, ...], int, int], bool]:
@@ -228,20 +248,95 @@ def _keep_pattern_free(f: Graph) -> Callable[[tuple[int, ...], int, int], bool]:
     return keep
 
 
+class _Carried(NamedTuple):
+    """What a pattern search's graph on n-1 vertices hands its last
+    level: its non-edges with no copy of F through them, and the masks
+    that every last vertex's neighbourhood must meet."""
+
+    pairs: list[tuple[int, int]]
+    balls: tuple[int, ...]
+
+
 def _pattern_saturation_levels(f: Graph) -> LastLevels:
-    """F-saturation as ``LastLevels`` over F-free graphs.  Unlike K_s, a
-    pattern puts no constraint on the last vertex's neighbourhood, so
-    ``need`` is always 0; ``complete`` runs ``is_h_saturated``'s
-    per-non-edge test on the child, which ``_keep_pattern_free`` has
-    already kept F-free."""
+    """F-saturation as ``LastLevels`` over F-free graphs, by three exact
+    rules on a graph G' on n-1 vertices and the last vertex x.
 
-    def need(rows: tuple[int, ...], k: int) -> int:
-        return 0
+    1. ``need`` carries the non-edges uv with no copy of F through uv in
+       G' + uv.  Every other non-edge keeps its copy in every child, so
+       ``complete`` tests only these and the non-edges at x on the
+       child, which ``_keep_pattern_free`` has kept F-free.
+    2. x adjacent to all of G' only adds copies: when a carried uv has
+       no copy through it in G' + uv + x even then, ``need`` drops G'.
+    3. For F connected of diameter d, a copy through a carried uv uses
+       x, and its shortest path from u (or v) to x gives x a neighbour
+       within distance d-1 of u (or v) in G' + uv: a column missing one
+       of these balls is skipped unbuilt.  Disconnected F gets no ball.
 
-    def complete(rows: tuple[int, ...], n: int, need: int) -> bool:
-        return _uncompleted_non_edge(rows, n, f) is None
+    ``need`` runs after ``is_canonical``: it costs a containment search
+    per non-edge, more than the canonicity tests it would save (n = 8
+    c_4 makes 13,036 containment searches with ``need`` ahead, 3,720
+    after).
+    """
+    radius = _diameter(f) - 1
 
-    return LastLevels(need, complete)
+    def need(rows: tuple[int, ...], k: int) -> _Carried | None:
+        carried = list(_uncompleted_non_edges(rows, k, f))
+        bit = 1 << k
+        universal = tuple(r | bit for r in rows) + (bit - 1,)
+        if next(_uncompleted_non_edges(universal, k + 1, f, carried), None) is not None:
+            return None
+        balls = set()
+        for u, v in carried if radius >= 0 else ():
+            added = list(rows)
+            added[u] |= 1 << v
+            added[v] |= 1 << u
+            balls.add(_ball(added, u, radius))
+            balls.add(_ball(added, v, radius))
+        # smallest first: the likeliest to be missed
+        return _Carried(carried, tuple(sorted(balls, key=int.bit_count)))
+
+    def column(state: _Carried, subset: int) -> bool:
+        for ball in state.balls:
+            if not subset & ball:
+                return False
+        return True
+
+    def complete(rows: tuple[int, ...], n: int, state: _Carried) -> bool:
+        x = n - 1
+        pairs = state.pairs + [(v, x) for v in bits_of(~rows[x] & ((1 << x) - 1))]
+        return next(_uncompleted_non_edges(rows, n, f, pairs), None) is None
+
+    return LastLevels(need, complete, column, need_first=False)
+
+
+def _ball(rows: tuple[int, ...] | list[int], u: int, radius: int) -> int:
+    """Mask of the vertices within distance ``radius`` of u."""
+    ball = frontier = 1 << u
+    for _ in range(radius):
+        reach = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            reach |= rows[low.bit_length() - 1]
+        frontier = reach & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
+
+
+def _diameter(f: Graph) -> int:
+    """Diameter of f, or -1 when f is disconnected."""
+    d = 0
+    for v in range(f.n):
+        r = 0
+        while _ball(f.rows, v, r) != f.vertex_mask:
+            r += 1
+            if r == f.n:
+                return -1
+        d = max(d, r)
+    return d
 
 
 def _forbidden_graph(f: PatternSpec) -> Graph | None:

@@ -149,19 +149,26 @@ def codegree_sum_oracle(g: Graph, t: int) -> int:
     )
 
 
+def _injections_oracle(src: Graph, dst: Graph) -> int:
+    """Injective edge-preserving maps src -> dst, by scanning every
+    injection."""
+    dn = nbr_sets(dst)
+    total = 0
+    for image in permutations(range(dst.n), src.n):
+        if all(image[v] in dn[image[u]] for u, v in src.edges()):
+            total += 1
+    return total
+
+
+def automorphisms_oracle(f: Graph) -> int:
+    """|Aut(f)|: the edge-preserving permutations of f."""
+    return _injections_oracle(f, f)
+
+
 def embeddings_oracle(g: Graph, f: Graph) -> int:
     """Subgraph copies of f: injective edge-preserving maps over |Aut(f)|."""
-
-    def injections(src: Graph, dst: Graph) -> int:
-        dn = nbr_sets(dst)
-        total = 0
-        for image in permutations(range(dst.n), src.n):
-            if all(image[v] in dn[image[u]] for u, v in src.edges()):
-                total += 1
-        return total
-
-    aut = injections(f, f)
-    total = injections(f, g)
+    aut = automorphisms_oracle(f)
+    total = _injections_oracle(f, g)
     assert total % aut == 0
     return total // aut
 

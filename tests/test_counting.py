@@ -8,6 +8,7 @@ from satlab import (
     BipartitePattern,
     Graph,
     InputError,
+    automorphism_count,
     codegree_sum,
     complete_bipartite,
     complete_graph,
@@ -32,6 +33,7 @@ from satlab import (
 from satlab import counting
 from conftest import random_graph, random_tripartite
 from oracles import (
+    automorphisms_oracle,
     cliques_oracle,
     codegree_sum_oracle,
     combinations_count_kab,
@@ -372,6 +374,42 @@ class TestAnchoredContainment:
             for k in (1, 2):
                 for rooted in plan.anchored(k):
                     assert sorted(rooted.order) == list(range(f.n))
+
+    def test_k2_anchored_on_its_own_edge(self):
+        # both slots of K_2 are anchors: an edge is a copy at once, and a
+        # non-edge is none
+        g = path(3)
+        k2 = complete_graph(2)
+        for through in ((0, 1), (1, 0), (2, 1)):
+            assert contains_subgraph(g, k2, through=through) is True, through
+        assert contains_subgraph(g, k2, through=(0, 2)) is False
+        assert contains_subgraph(empty_graph(2), k2, through=(0, 1)) is False
+
+    def test_last_position_without_earlier_neighbour(self, small_random_graphs):
+        # K_2 plus an isolated vertex: the last position takes any unused
+        # vertex, so there are e(g) * (n - 2) copies
+        f = ANCHOR_PATTERNS["g6:B_"]
+        assert counting._plan(f).full.back[-1] == ()
+        for g in small_random_graphs:
+            want = g.edge_count() * max(g.n - 2, 0)
+            assert count_embeddings(g, f) == want, g
+            assert (find_subgraph(g, f) is not None) == (want > 0), g
+            assert find_subgraph(g, f) == find_subgraph_oracle(g, f), g
+
+    def test_counts_match_oracles(self, small_random_graphs):
+        patterns = [complete_graph(2), path(3), ANCHOR_PATTERNS["g6:B_"],
+                    ANCHOR_PATTERNS["g6:C`"], cycle(4), star(4), complete_bipartite(2, 3)]
+        for f in patterns:
+            assert automorphism_count(f) == automorphisms_oracle(f), f
+        counted = 0
+        for g in small_random_graphs:
+            if g.n > 7:
+                continue
+            for f in patterns:
+                got = count_embeddings(g, f)
+                assert got == embeddings_oracle(g, f), (g, f)
+                counted += got > 0
+        assert counted > 50
 
     def test_plan_built_once_per_pattern(self, small_random_graphs, monkeypatch):
         orders, searches = [], []

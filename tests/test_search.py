@@ -30,7 +30,6 @@ from satlab.search import (
     MAX_ENUM_VERTICES,
     MAX_KS_SEARCH_VERTICES,
     MAX_PATTERN_SEARCH_VERTICES,
-    LastLevels,
     _enumerate,
     _keep_ks_free,
     _keep_pattern_free,
@@ -166,9 +165,11 @@ class TestAnchoredPatternSearch:
     canonicity test, reproduce the stream of full containment tests on
     every class, pair by pair and in order."""
 
-    # g6:C^ is K_4 minus an edge, g6:C` is 2K_2, g6:Ch is the path on 4 vertices
+    # g6:C^ is K_4 minus an edge, g6:C` is 2K_2, g6:Ch is the path on 4
+    # vertices, g6:B_ is K_2 plus an isolated vertex, g6:Cg is P_3 plus one
     @pytest.mark.parametrize(
-        "token", ["c_4", "c_5", "k_2_3", "k_1_3", "g6:C^", "g6:C`", "g6:Ch", "c_6"]
+        "token", ["c_4", "c_5", "k_2_3", "k_1_3", "g6:C^", "g6:C`", "g6:Ch", "c_6",
+                  "k_3_3", "c_7", "g6:B_", "g6:Cg"]
     )
     def test_same_stream_in_order(self, token):
         for n in range(9 if token in ("c_4", "k_1_3") else 8):
@@ -191,9 +192,58 @@ class TestAnchoredPatternSearch:
             return verdict
 
         for n in range(2, 8):
-            for _ in _enumerate(n, _keep_pattern_free(f), LastLevels(check.need, complete)):
+            for _ in _enumerate(n, _keep_pattern_free(f), check._replace(complete=complete)):
                 pass
         assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("token,n_max", [
+        ("c_4", 8), ("c_5", 7), ("k_2_3", 7), ("k_1_3", 7), ("c_6", 7), ("g6:C^", 7),
+        ("g6:C`", 7), ("g6:Ch", 7), ("g6:B_", 7), ("g6:Cg", 7),
+    ])
+    def test_lookahead_rules_are_exact(self, token, n_max):
+        # every level n-1 graph that need drops (rule 2) and every column
+        # it skips (rule 3) has no saturated child in the unhooked stream,
+        # and complete on the carried pairs (rule 1) gives the full verdict
+        f = pattern_graph(parse_pattern(token))
+        keep = _keep_pattern_free(f)
+        check = _pattern_saturation_levels(f)
+        fired = {"carry": 0, "drop": 0, "skip": 0}
+        for n in range(2, n_max + 1):
+            dropped, skipped = set(), set()
+
+            def need(rows, k):
+                state = check.need(rows, k)
+                if state is None:
+                    dropped.add(rows)
+                    return None
+                non_edges = k * (k - 1) // 2 - sum(r.bit_count() for r in rows) // 2
+                fired["carry"] += len(state.pairs) < non_edges
+                return rows, state  # the parent travels with its state
+
+            def column(state, subset):
+                ok = check.column(state[1], subset)
+                if not ok:
+                    skipped.add((state[0], subset))
+                return ok
+
+            def complete(rows, n, state):
+                verdict = check.complete(rows, n, state[1])
+                want = unanchored_is_h_saturated(Graph._from_rows_unchecked(n, rows), f)
+                assert verdict == want.is_saturated, rows
+                return verdict
+
+            for _ in _enumerate(n, keep, check._replace(need=need, column=column,
+                                                        complete=complete)):
+                pass
+            low = (1 << (n - 1)) - 1
+            for g in _enumerate(n, keep):
+                parent = tuple(r & low for r in g.rows[:-1])
+                if parent in dropped or (parent, g.rows[-1]) in skipped:
+                    assert not unanchored_is_h_saturated(g, f).is_saturated, (token, g.rows)
+            fired["drop"] += len(dropped)
+            fired["skip"] += len(skipped)
+        if token in ("c_4", "k_2_3"):
+            assert min(fired.values()) > 0, fired
 
     def test_search_cap(self):
         assert MAX_PATTERN_SEARCH_VERTICES == 8
