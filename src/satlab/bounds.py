@@ -149,6 +149,14 @@ def _require(cond: bool, message: str) -> None:
 # -- per-instance checkers -------------------------------------------------
 
 
+def _row(name: str, lhs: float | int, rhs: float | int, context: dict,
+         holds: bool | None = None, equality: bool | None = None) -> BoundReport:
+    """The one assembly of a bound row: ``holds`` is lhs >= rhs and
+    ``equality`` is lhs == rhs unless the row decides them itself."""
+    return BoundReport(name, lhs, rhs, lhs >= rhs if holds is None else holds,
+                       lhs == rhs if equality is None else equality, context)
+
+
 def check_kkko(g: Graph, s: int) -> tuple[BoundReport, BoundReport]:
     """Degree inequalities of K_s-saturated graphs.
 
@@ -161,27 +169,12 @@ def check_kkko(g: Graph, s: int) -> tuple[BoundReport, BoundReport]:
     """
     n = g.n
     degs = g.degrees()
-    lhs2 = sum((d + 1) * (d + 2 - s) for d in degs)
-    rhs2 = (s - 2) * n * (n - s + 1)
-    eq2 = BoundReport(
-        name="kkko",
-        lhs=lhs2,
-        rhs=rhs2,
-        holds=lhs2 >= rhs2,
-        equality=lhs2 == rhs2,
-        context={"n": n, "s": s},
+    return (
+        _row("kkko", sum((d + 1) * (d + 2 - s) for d in degs), (s - 2) * n * (n - s + 1),
+             {"n": n, "s": s}),
+        _row("degree_squares", sum(d * d for d in degs), _degree_square_floor(n, s),
+             {"n": n, "s": s}),
     )
-    lhs5 = sum(d * d for d in degs)
-    rhs5 = _degree_square_floor(n, s)
-    eq5 = BoundReport(
-        name="degree_squares",
-        lhs=lhs5,
-        rhs=rhs5,
-        holds=lhs5 >= rhs5,
-        equality=lhs5 == rhs5,
-        context={"n": n, "s": s},
-    )
-    return eq2, eq5
 
 
 def check_k4minus_chain(g: Graph, s: int) -> tuple[BoundReport, BoundReport]:
@@ -193,26 +186,11 @@ def check_k4minus_chain(g: Graph, s: int) -> tuple[BoundReport, BoundReport]:
     """
     n = g.n
     mid = count_k4_minus(g)
-    upper_lhs = codegree_sum(g, 2)
     non_edges = comb(n, 2) - g.edge_count()
-    lower_rhs = comb(s - 2, 2) * non_edges
-    upper = BoundReport(
-        name="k4minus_upper",
-        lhs=upper_lhs,
-        rhs=mid,
-        holds=upper_lhs >= mid,
-        equality=upper_lhs == mid,
-        context={"n": n, "s": s},
+    return (
+        _row("k4minus_upper", codegree_sum(g, 2), mid, {"n": n, "s": s}),
+        _row("k4minus_lower", mid, comb(s - 2, 2) * non_edges, {"n": n, "s": s}),
     )
-    lower = BoundReport(
-        name="k4minus_lower",
-        lhs=mid,
-        rhs=lower_rhs,
-        holds=mid >= lower_rhs,
-        equality=mid == lower_rhs,
-        context={"n": n, "s": s},
-    )
-    return upper, lower
 
 
 def check_star_bound(g: Graph, s: int, t: int) -> BoundReport:
@@ -227,22 +205,13 @@ def check_star_bound(g: Graph, s: int, t: int) -> BoundReport:
     n = g.n
     lhs = count_stars(g, t)
     base = _degree_square_floor(n, s)
-    rhs_display = _star_floor_of(base, n, t) if n > 0 else 0.0
+    context = {"n": n, "s": s, "t": t, "in_hypothesis": t >= 3}
     if n == 0:
-        holds, equality = True, lhs == 0
-    else:
-        left = (lhs * t ** t) ** 2 * n ** (t - 2)
-        right = base ** t
-        holds = left >= right
-        equality = left == right
-    return BoundReport(
-        name="star_floor",
-        lhs=lhs,
-        rhs=rhs_display,
-        holds=holds,
-        equality=equality,
-        context={"n": n, "s": s, "t": t, "in_hypothesis": t >= 3},
-    )
+        return _row("star_floor", lhs, 0.0, context, holds=True, equality=lhs == 0)
+    left = (lhs * t ** t) ** 2 * n ** (t - 2)
+    right = base ** t
+    return _row("star_floor", lhs, _star_floor_of(base, n, t), context,
+                holds=left >= right, equality=left == right)
 
 
 def check_k2t_floor(g: Graph, t: int) -> BoundReport:
@@ -254,13 +223,5 @@ def check_k2t_floor(g: Graph, t: int) -> BoundReport:
     is 3 against a sum of 6), so the t = 2 report is informational only.
     """
     _require(t >= 2, f"check_k2t_floor needs t >= 2, got t={t}")
-    lhs = count_kab(g, BipartitePattern(2, t))
-    rhs = codegree_sum(g, t)
-    return BoundReport(
-        name="k2t_floor",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs,
-        equality=lhs == rhs,
-        context={"n": g.n, "t": t, "asserted": t >= 3},
-    )
+    return _row("k2t_floor", count_kab(g, BipartitePattern(2, t)), codegree_sum(g, t),
+                {"n": g.n, "t": t, "asserted": t >= 3})

@@ -25,7 +25,7 @@ from .patterns import parse_pattern, pattern_graph
 from .process import TrialStats, estimate_expected_count, run_ffree_process
 from .saturation import _check_saturation_pattern, is_h_saturated, is_ks_saturated
 from .search import DEFAULT_EXTREMAL_CAP, count_pattern, min_count_over_saturated
-from .search import saturated_classes
+from .search import _check_n, _forbidden, saturated_classes
 
 # bounds, families and csv serve construct and verify only; they are
 # imported inside those commands so the others do not load them
@@ -284,6 +284,10 @@ def _verify_rows(suite: str, n_max: int, s: int) -> list[BoundReport]:
     do_k4 = suite in ("k4minus", "all")
     do_p21 = suite in ("prop21", "all")
     do_forms = suite in ("formulas", "all")
+    if n_max >= s:
+        # a too-large --n-max fails before the first search, not after the last
+        cap, label, *_ = _forbidden(("clique", s))
+        _check_n(n_max, cap, "search", f" for {label}")
     for n in range(s, n_max + 1):
         pairs = saturated_classes(n, ("clique", s))
         for g, _form in pairs:
@@ -303,64 +307,35 @@ def _formula_rows(n: int, s: int, pairs) -> list[BoundReport]:
     from . import bounds as bnd
     from .families import ehm_graph
 
-    rows = []
     ehm_form = canonical_form(ehm_graph(n, s))
-    min_edges = min(g.edge_count() for g, _ in pairs)
-    edge_minimizers = sorted(form for g, form in pairs if g.edge_count() == min_edges)
-    expected = bnd.ehm_edges(n, s)
-    rows.append(
-        bnd.BoundReport(
-            name="ehm_edges",
-            lhs=min_edges,
-            rhs=expected,
-            holds=min_edges == expected and edge_minimizers == [ehm_form],
-            equality=min_edges == expected,
-            context={"n": n, "s": s},
-        )
-    )
-    if s >= 4:
-        counts = {form: count_stars(g, 2) for g, form in pairs}
-        min_k12 = min(counts.values())
-        k12_minimizers = sorted(f for f, c in counts.items() if c == min_k12)
-        expected = bnd.k12_min(n, s)
-        rows.append(
-            bnd.BoundReport(
-                name="k12_min",
-                lhs=min_k12,
-                rhs=expected,
-                holds=min_k12 == expected and k12_minimizers == [ehm_form],
-                equality=min_k12 == expected,
-                context={"n": n, "s": s},
-            )
-        )
-    elif s == 3:
-        min_k12 = min(count_stars(g, 2) for g, _ in pairs)
-        lower = bnd.k12_k3_lower(n)
-        upper = comb(n - 1, 2)
-        rows.append(
-            bnd.BoundReport(
-                name="k12_k3_window",
-                lhs=min_k12,
-                rhs=lower,
-                holds=(min_k12 >= lower - 1e-9) and (min_k12 <= upper),
-                equality=False,
-                context={"n": n, "s": s},
-            )
-        )
-    if s >= 4:
+
+    def minimum_row(name: str, counts: dict, closed: int) -> BoundReport:
+        # {canonical form: count}: holds iff the minimum is the closed
+        # form and EHM is its only minimizer
+        low = min(counts.values())
+        minimizers = [form for form, c in counts.items() if c == low]
+        return bnd._row(name, low, closed, {"n": n, "s": s},
+                        holds=low == closed and minimizers == [ehm_form])
+
+    rows = [minimum_row("ehm_edges", {form: g.edge_count() for g, form in pairs},
+                        bnd.ehm_edges(n, s))]
+    if s == 3:
+        # C(n,2) - n^{3/2}/2 <= low <= C(n-1,2) in integers: below the
+        # upper end d = C(n,2) - low is positive, so 2d <= n^{3/2} iff
+        # 4 d^2 <= n^3
+        low = min(count_stars(g, 2) for g, _ in pairs)
+        d = comb(n, 2) - low
+        rows.append(bnd._row("k12_k3_window", low, bnd.k12_k3_lower(n), {"n": n, "s": s},
+                             holds=low <= comb(n - 1, 2) and 4 * d * d <= n ** 3,
+                             equality=False))
+    elif s >= 4:
+        rows.append(minimum_row("k12_min", {form: count_stars(g, 2) for g, form in pairs},
+                                bnd.k12_min(n, s)))
         for r in range(3, s):
-            min_kr = min(count_cliques(g, r) for g, _ in pairs)
-            expected = bnd.kr_min(n, r, s)
-            rows.append(
-                bnd.BoundReport(
-                    name="kr_min_small_n",
-                    lhs=min_kr,
-                    rhs=expected,
-                    holds=min_kr == expected,
-                    equality=min_kr == expected,
-                    context={"n": n, "s": s, "t": r},
-                )
-            )
+            low = min(count_cliques(g, r) for g, _ in pairs)
+            closed = bnd.kr_min(n, r, s)
+            rows.append(bnd._row("kr_min_small_n", low, closed, {"n": n, "s": s, "t": r},
+                                 holds=low == closed))
     return rows
 
 

@@ -180,3 +180,235 @@ class TestSerialization:
         row = rep.csv_row()
         assert row[0] == "kkko"
         assert row[1] == 10 and row[2] == 3 and row[3] == ""
+
+
+#: every checker's ``to_json()`` on four graphs, byte for byte, as the
+#: checkers wrote them when each spelled out its own verdict; the key is
+#: (graph, checker, s or t or (s, t))
+RECORD_PINS = {
+    ('petersen', 'kkko', 3): (
+        '{"context": {"n": 10, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 80, "name": "kkko", "rhs": 80}',
+        '{"context": {"n": 10, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 90, "name": "degree_squares", "rhs": 90}',
+    ),
+    ('petersen', 'k4minus', 3): (
+        '{"context": {"n": 10, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_upper", "rhs": 0}',
+        '{"context": {"n": 10, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_lower", "rhs": 0}',
+    ),
+    ('petersen', 'kkko', 4): (
+        '{"context": {"n": 10, "s": 4}, '
+        '"equality": false, "holds": false, "lhs": 40, "name": "kkko", "rhs": 140}',
+        '{"context": {"n": 10, "s": 4}, '
+        '"equality": false, "holds": false, "lhs": 90, "name": "degree_squares", "rhs": 194}',
+    ),
+    ('petersen', 'k4minus', 4): (
+        '{"context": {"n": 10, "s": 4}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_upper", "rhs": 0}',
+        '{"context": {"n": 10, "s": 4}, '
+        '"equality": false, "holds": false, "lhs": 0, "name": "k4minus_lower", "rhs": 30}',
+    ),
+    ('petersen', 'star', (3, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 10, "s": 3, "t": 2}, '
+        '"equality": false, "holds": true, "lhs": 30, "name": "star_floor", "rhs": 22.5}',
+    ),
+    ('petersen', 'star', (3, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 10, "s": 3, "t": 3}, '
+        '"equality": true, "holds": true, "lhs": 10, "name": "star_floor", "rhs": 10.0}',
+    ),
+    ('petersen', 'star', (4, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 10, "s": 4, "t": 2}, '
+        '"equality": false, "holds": false, "lhs": 30, "name": "star_floor", "rhs": 48.5}',
+    ),
+    ('petersen', 'star', (4, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 10, "s": 4, "t": 3}, '
+        '"equality": false, "holds": false, "lhs": 10, "name": "star_floor", "rhs": 31.647457895079828}',
+    ),
+    ('petersen', 'k2t', 2): (
+        '{"context": {"asserted": false, "n": 10, "t": 2}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k2t_floor", "rhs": 0}',
+    ),
+    ('petersen', 'k2t', 3): (
+        '{"context": {"asserted": true, "n": 10, "t": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k2t_floor", "rhs": 0}',
+    ),
+    ('c5', 'kkko', 3): (
+        '{"context": {"n": 5, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 15, "name": "kkko", "rhs": 15}',
+        '{"context": {"n": 5, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 20, "name": "degree_squares", "rhs": 20}',
+    ),
+    ('c5', 'k4minus', 3): (
+        '{"context": {"n": 5, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_upper", "rhs": 0}',
+        '{"context": {"n": 5, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_lower", "rhs": 0}',
+    ),
+    ('c5', 'kkko', 4): (
+        '{"context": {"n": 5, "s": 4}, '
+        '"equality": false, "holds": false, "lhs": 0, "name": "kkko", "rhs": 20}',
+        '{"context": {"n": 5, "s": 4}, '
+        '"equality": false, "holds": false, "lhs": 20, "name": "degree_squares", "rhs": 44}',
+    ),
+    ('c5', 'k4minus', 4): (
+        '{"context": {"n": 5, "s": 4}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_upper", "rhs": 0}',
+        '{"context": {"n": 5, "s": 4}, '
+        '"equality": false, "holds": false, "lhs": 0, "name": "k4minus_lower", "rhs": 5}',
+    ),
+    ('c5', 'star', (3, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 5, "s": 3, "t": 2}, '
+        '"equality": true, "holds": true, "lhs": 5, "name": "star_floor", "rhs": 5.0}',
+    ),
+    ('c5', 'star', (3, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 5, "s": 3, "t": 3}, '
+        '"equality": false, "holds": false, "lhs": 0, "name": "star_floor", "rhs": 1.4814814814814814}',
+    ),
+    ('c5', 'star', (4, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 5, "s": 4, "t": 2}, '
+        '"equality": false, "holds": false, "lhs": 5, "name": "star_floor", "rhs": 11.0}',
+    ),
+    ('c5', 'star', (4, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 5, "s": 4, "t": 3}, '
+        '"equality": false, "holds": false, "lhs": 0, "name": "star_floor", "rhs": 4.83426271751421}',
+    ),
+    ('c5', 'k2t', 2): (
+        '{"context": {"asserted": false, "n": 5, "t": 2}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k2t_floor", "rhs": 0}',
+    ),
+    ('c5', 'k2t', 3): (
+        '{"context": {"asserted": true, "n": 5, "t": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k2t_floor", "rhs": 0}',
+    ),
+    ('ehm_7_4', 'kkko', 3): (
+        '{"context": {"n": 7, "s": 3}, '
+        '"equality": false, "holds": true, "lhs": 85, "name": "kkko", "rhs": 35}',
+        '{"context": {"n": 7, "s": 3}, '
+        '"equality": false, "holds": true, "lhs": 92, "name": "degree_squares", "rhs": 42}',
+    ),
+    ('ehm_7_4', 'k4minus', 3): (
+        '{"context": {"n": 7, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 10, "name": "k4minus_upper", "rhs": 10}',
+        '{"context": {"n": 7, "s": 3}, '
+        '"equality": false, "holds": true, "lhs": 10, "name": "k4minus_lower", "rhs": 0}',
+    ),
+    ('ehm_7_4', 'kkko', 4): (
+        '{"context": {"n": 7, "s": 4}, '
+        '"equality": true, "holds": true, "lhs": 56, "name": "kkko", "rhs": 56}',
+        '{"context": {"n": 7, "s": 4}, '
+        '"equality": true, "holds": true, "lhs": 92, "name": "degree_squares", "rhs": 92}',
+    ),
+    ('ehm_7_4', 'k4minus', 4): (
+        '{"context": {"n": 7, "s": 4}, '
+        '"equality": true, "holds": true, "lhs": 10, "name": "k4minus_upper", "rhs": 10}',
+        '{"context": {"n": 7, "s": 4}, '
+        '"equality": true, "holds": true, "lhs": 10, "name": "k4minus_lower", "rhs": 10}',
+    ),
+    ('ehm_7_4', 'star', (3, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 7, "s": 3, "t": 2}, '
+        '"equality": false, "holds": true, "lhs": 35, "name": "star_floor", "rhs": 10.5}',
+    ),
+    ('ehm_7_4', 'star', (3, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 7, "s": 3, "t": 3}, '
+        '"equality": false, "holds": true, "lhs": 40, "name": "star_floor", "rhs": 3.810317377662722}',
+    ),
+    ('ehm_7_4', 'star', (4, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 7, "s": 4, "t": 2}, '
+        '"equality": false, "holds": true, "lhs": 35, "name": "star_floor", "rhs": 23.0}',
+    ),
+    ('ehm_7_4', 'star', (4, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 7, "s": 4, "t": 3}, '
+        '"equality": false, "holds": true, "lhs": 40, "name": "star_floor", "rhs": 12.352900885940274}',
+    ),
+    ('ehm_7_4', 'k2t', 2): (
+        '{"context": {"asserted": false, "n": 7, "t": 2}, '
+        '"equality": true, "holds": true, "lhs": 10, "name": "k2t_floor", "rhs": 10}',
+    ),
+    ('ehm_7_4', 'k2t', 3): (
+        '{"context": {"asserted": true, "n": 7, "t": 3}, '
+        '"equality": true, "holds": true, "lhs": 10, "name": "k2t_floor", "rhs": 10}',
+    ),
+    ('k4', 'kkko', 3): (
+        '{"context": {"n": 4, "s": 3}, '
+        '"equality": false, "holds": true, "lhs": 32, "name": "kkko", "rhs": 8}',
+        '{"context": {"n": 4, "s": 3}, '
+        '"equality": false, "holds": true, "lhs": 36, "name": "degree_squares", "rhs": 12}',
+    ),
+    ('k4', 'k4minus', 3): (
+        '{"context": {"n": 4, "s": 3}, '
+        '"equality": false, "holds": true, "lhs": 6, "name": "k4minus_upper", "rhs": 0}',
+        '{"context": {"n": 4, "s": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_lower", "rhs": 0}',
+    ),
+    ('k4', 'kkko', 4): (
+        '{"context": {"n": 4, "s": 4}, '
+        '"equality": false, "holds": true, "lhs": 16, "name": "kkko", "rhs": 8}',
+        '{"context": {"n": 4, "s": 4}, '
+        '"equality": false, "holds": true, "lhs": 36, "name": "degree_squares", "rhs": 26}',
+    ),
+    ('k4', 'k4minus', 4): (
+        '{"context": {"n": 4, "s": 4}, '
+        '"equality": false, "holds": true, "lhs": 6, "name": "k4minus_upper", "rhs": 0}',
+        '{"context": {"n": 4, "s": 4}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k4minus_lower", "rhs": 0}',
+    ),
+    ('k4', 'star', (3, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 4, "s": 3, "t": 2}, '
+        '"equality": false, "holds": true, "lhs": 12, "name": "star_floor", "rhs": 3.0}',
+    ),
+    ('k4', 'star', (3, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 4, "s": 3, "t": 3}, '
+        '"equality": false, "holds": true, "lhs": 4, "name": "star_floor", "rhs": 0.769800358919501}',
+    ),
+    ('k4', 'star', (4, 2)): (
+        '{"context": {"in_hypothesis": false, "n": 4, "s": 4, "t": 2}, '
+        '"equality": false, "holds": true, "lhs": 12, "name": "star_floor", "rhs": 6.5}',
+    ),
+    ('k4', 'star', (4, 3)): (
+        '{"context": {"in_hypothesis": true, "n": 4, "s": 4, "t": 3}, '
+        '"equality": false, "holds": true, "lhs": 4, "name": "star_floor", "rhs": 2.455083469507637}',
+    ),
+    ('k4', 'k2t', 2): (
+        '{"context": {"asserted": false, "n": 4, "t": 2}, '
+        '"equality": false, "holds": false, "lhs": 3, "name": "k2t_floor", "rhs": 6}',
+    ),
+    ('k4', 'k2t', 3): (
+        '{"context": {"asserted": true, "n": 4, "t": 3}, '
+        '"equality": true, "holds": true, "lhs": 0, "name": "k2t_floor", "rhs": 0}',
+    ),
+}
+
+_PIN_GRAPHS = {
+    "petersen": petersen,
+    "c5": lambda: cycle(5),
+    "ehm_7_4": lambda: ehm_graph(7, 4),
+    "k4": lambda: complete_graph(4),
+}
+_PIN_CHECKERS = {
+    "kkko": check_kkko,
+    "k4minus": check_k4minus_chain,
+    "star": lambda g, st: (check_star_bound(g, *st),),
+    "k2t": lambda g, t: (check_k2t_floor(g, t),),
+}
+
+
+class TestRecordPins:
+    @pytest.mark.parametrize("key", list(RECORD_PINS), ids=str)
+    def test_to_json_pinned(self, key):
+        graph, checker, arg = key
+        reports = _PIN_CHECKERS[checker](_PIN_GRAPHS[graph](), arg)
+        assert tuple(r.to_json() for r in reports) == RECORD_PINS[key]
+
+    def test_every_checker_and_graph_pinned(self):
+        keys = set(RECORD_PINS)
+        assert {(g, c) for g, c, _ in keys} == {(g, c) for g in _PIN_GRAPHS for c in _PIN_CHECKERS}
+        assert sum(map(len, RECORD_PINS.values())) == 56
+
+    @pytest.mark.parametrize("check", [check_kkko, check_k4minus_chain])
+    @pytest.mark.parametrize("graph", list(_PIN_GRAPHS))
+    def test_pair_rows_have_their_own_context(self, check, graph):
+        a, b = check(_PIN_GRAPHS[graph](), 4)
+        assert a.context == b.context
+        assert a.context is not b.context

@@ -1,6 +1,9 @@
 """CLI contract: subcommands, formats, exit codes."""
 
+import hashlib
 import json
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,8 @@ from satlab import (
     to_graph6,
 )
 from satlab.cli import main
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 
 def run(capsys, *argv):
@@ -337,6 +342,53 @@ class TestVerify:
     def test_usage_error(self, capsys):
         code = main(["verify", "--suite", "bogus", "--n-max", "5", "--s", "3"])
         assert code == 2
+
+    def test_n_max_past_cap_fails_before_any_search(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched before checking --n-max")
+
+        monkeypatch.setattr(satlab.cli, "saturated_classes", no_search)
+        monkeypatch.setattr(satlab.search, "_enumerate", no_search)
+        code, out, err = run(capsys, "verify", "--suite", "kkko", "--n-max", "11", "--s", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: search supports n <= 10 for clique F with s=5, got n=11\n"
+
+    # n-max < s: no search, so neither the n nor the s range is checked
+    @pytest.mark.parametrize("n_max, s", [("2", "3"), ("-1", "3"), ("0", "1")])
+    def test_empty_sweep_prints_header_only(self, capsys, n_max, s):
+        code, out, err = run(capsys, "verify", "--suite", "all", "--n-max", n_max, "--s", s)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["# satlab bounds csv v1", "name,n,s,t,lhs,rhs,holds,equality"]
+
+    # sha256 of stdout: s = 3 alone has the k12_k3_window rows and s = 5
+    # alone the kr_min_small_n rows at r = 4; exit 1 is the star floor
+    @pytest.mark.parametrize("suite, s, code, digest", [
+        ("formulas", 3, 0, "10841739d65f8aeece2d4939a4cc4929596a2a423e781527631b007c28ea3100"),
+        ("formulas", 5, 0, "8041b69a98c5b2c466620b37d51ac0b3691f18e4e62cae707e1b6f136ece6451"),
+        ("all", 3, 1, "df557bfa860db99e6526791dfc57c222d90c95b1a68fed6ac73d2d08b298e6e8"),
+        ("all", 5, 1, "57861ccbea63c7bd3e383e3fcc338b30ec5929eec1c87ce1c9490a81d34d86d1"),
+    ])
+    def test_csv_pinned(self, capsys, suite, s, code, digest):
+        got, out, _ = run(capsys, "verify", "--suite", suite, "--n-max", "7", "--s", str(s))
+        assert got == code
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_k3_window_verdict_at_every_minimum(self, monkeypatch):
+        # the integer verdict against C(n,2) - n^{3/2}/2 <= low <= C(n-1,2)
+        # in floats, for every cherry minimum up to the K_3 search cap
+        for n in range(3, 13):
+            g = ehm_graph(n, 3)
+            pairs = ((g, canonical_form(g)),)
+            for low in range(comb(n, 2) + 2):
+                monkeypatch.setattr(satlab.cli, "count_stars", lambda g, t: low)
+                _, window = satlab.cli._formula_rows(n, 3, pairs)
+                assert window.lhs == low
+                assert window.holds == (comb(n, 2) - n ** 1.5 / 2 - 1e-9 <= low <= comb(n - 1, 2))
+
+    def test_all_s4_matches_benchmark_reference(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "7", "--s", "4")
+        assert code == 1
+        assert out.encode("ascii") == (REFS / "verify_all_n7_s4.stdout").read_bytes()
 
 
 class TestRemovedOptions:
