@@ -16,8 +16,8 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .canon import canonical_form
-from .counting import BipartitePattern, count_cliques, count_cycles, count_embeddings
-from .counting import count_k4_minus, count_kab, count_stars
+from .counting import BipartitePattern, check_pattern_size, count_cliques, count_cycles
+from .counting import count_embeddings, count_k4_minus, count_kab, count_stars
 from .errors import EmptyDomainError, Graph6ParseError, InputError, SatlabError
 from .graph6 import from_graph6, read_graph6_lines, to_graph6
 from .graphs import Graph
@@ -185,7 +185,10 @@ def _cmd_count(args) -> int:
         if not args.g6:
             raise InputError("--pattern embed requires --g6 <graph6>")
         pat = from_graph6(args.g6)
+        check_pattern_size(pat)
         label, counter = f"g6:{args.g6}", lambda g: count_embeddings(g, pat)
+    if args.pattern in ("star", "clique", "cycle"):
+        parse_pattern(label)  # the range rule of --t or --r, before any input is read
 
     for g in _read_graphs(args.input):
         print(
@@ -215,6 +218,7 @@ def _cmd_check(args) -> int:
         if args.s is None:
             raise InputError("--sat ks requires --s")
         label, verdict = f"k_{args.s}", lambda g: is_ks_saturated(g, args.s)
+        parse_pattern(label)  # the range rule of --s, before any input is read
     else:
         if args.s is not None:
             raise InputError("--s applies only to --sat ks")

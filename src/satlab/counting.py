@@ -211,23 +211,21 @@ def _rooted(f: Graph, roots: tuple[int, ...] = ()) -> _Order:
 
 
 def _injections(g: Graph, rooted: _Order, count_all: bool,
-                image: list[int] | None = None, start: int = 0) -> int:
+                image: list[int] | None = None) -> int:
     """Count injective maps f -> g sending edges to edges (0/1 if not
-    count_all, for an early-exit containment test).
+    count_all, for an early-exit search).
 
     ``image`` (f.n slots) receives image[i] = g-vertex for pattern vertex
     order[i]; after a hit with count_all false it holds the first map
-    found, candidates tried in ascending vertex order.  With ``start``
-    > 0 the first ``start`` slots are already filled (the anchors), and
-    the caller has checked that they are distinct and edge-preserving.
-    The last position is decided by its candidate mask alone: the count
-    is its size, and a witness takes its lowest vertex.
+    found, candidates tried in ascending vertex order.  The last
+    position is decided by its candidate mask alone: the count is its
+    size, and a witness takes its lowest vertex.
     """
     order, back = rooted
     n = len(order)
     if n > g.n:
         return 0
-    if start == n:
+    if n == 0:
         return 1
     if image is None:
         image = [0] * n
@@ -258,10 +256,35 @@ def _injections(g: Graph, rooted: _Order, count_all: bool,
                 total += got
         return total
 
-    used = 0
-    for i in range(start):
-        used |= 1 << image[i]
-    return rec(start, used)
+    return rec(0, 0)
+
+
+def _extends(rows: tuple[int, ...], free: int, back: tuple[tuple[int, ...], ...],
+             image: list[int], i: int) -> bool:
+    """True iff a map of positions 0..i-1 of a rooted order extends to
+    all of it: ``image[j]`` holds the host row of position j's image,
+    and the later positions take distinct vertices of ``free``, each
+    adjacent to the images of its ``back`` positions.  The anchored
+    containment kernel: everything it reads comes in as an argument.
+    The last position is decided by its candidate mask alone."""
+    cand = free
+    for j in back[i]:
+        cand &= image[j]
+    i += 1
+    if i == len(back):
+        return cand != 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        image[i - 1] = rows[low.bit_length() - 1]
+        if _extends(rows, free ^ low, back, image, i):
+            return True
+    return False
+
+
+#: the slots behind two anchors in ``_extends``'s image list, enough
+#: for any pattern within the size cap
+_SLOTS = (0,) * (MAX_PATTERN_VERTICES - 2)
 
 
 class _Plan:
@@ -290,10 +313,11 @@ class _Plan:
         reps = self._anchored.get(k)
         if reps is None:
             f = self.f
+            rows = f.rows
             if k == 1:
                 tuples = [(v,) for v in range(f.n)]
             else:
-                tuples = [(a, b) for a in range(f.n) for b in bits_of(f.rows[a])]
+                tuples = [(a, b) for a in range(f.n) for b in bits_of(rows[a])]
             found = []
             seen = set()
             for t in tuples:
@@ -302,16 +326,22 @@ class _Plan:
                 rooted = _rooted(f, t)
                 found.append(rooted)
                 for c in tuples:
-                    if c not in seen and _injections(
-                        f, rooted, count_all=False, image=[*c] + [0] * (f.n - k), start=k
-                    ):
+                    if c not in seen and (f.n == k or _extends(
+                        rows, f.vertex_mask ^ mask_of(c), rooted.back,
+                        [rows[x] for x in c] + [0] * (f.n - k), k,
+                    )):
                         seen.add(c)
             reps = self._anchored[k] = tuple(found)
         return reps
 
 
 @lru_cache(maxsize=256)
-def _plan(f: Graph) -> _Plan:
+def _plan(rows: tuple[int, ...]) -> _Plan:
+    """The plan of the pattern with adjacency ``rows``, built once per
+    pattern: keyed on the rows tuple, a lookup hashes and compares ints
+    only.  A pattern beyond the size cap raises ``InputError``."""
+    f = Graph._from_rows_unchecked(len(rows), rows)
+    check_pattern_size(f)
     return _Plan(f)
 
 
@@ -324,8 +354,9 @@ def check_pattern_size(f: Graph) -> None:
 
 
 def automorphism_count(f: Graph) -> int:
-    """|Aut(f)|, counted as edge-preserving injections of f into itself."""
-    return _plan(f).aut
+    """|Aut(f)|, counted as edge-preserving injections of f into itself
+    (f.n <= 8)."""
+    return _plan(f.rows).aut
 
 
 def count_embeddings(g: Graph, f: Graph) -> int:
@@ -333,44 +364,48 @@ def count_embeddings(g: Graph, f: Graph) -> int:
 
     Computed as injective edge-preserving maps divided by |Aut(f)|.
     """
-    check_pattern_size(f)
+    plan = _plan(f.rows)
     if f.n == 0:
         return 1
-    plan = _plan(f)
     total = _injections(g, plan.full, count_all=True)
     assert total % plan.aut == 0
     return total // plan.aut
 
 
 def contains_subgraph(g: Graph, f: Graph, through: tuple[int, ...] = ()) -> bool:
-    """True iff ``g`` has a subgraph isomorphic to ``f``; with ``through``
-    one vertex w, iff some copy uses w; with two vertices u, v, iff some
-    copy uses the edge uv.
+    """True iff ``g`` has a subgraph isomorphic to ``f`` (f.n <= 8); with
+    ``through`` one vertex w, iff some copy uses w; with two vertices
+    u, v, iff some copy uses the edge uv.
 
     The anchored search tries each orbit representative of F on the
-    anchor and extends from there, so it only visits copies through it.
-    Where g without the anchor is F-free, it answers the unanchored
-    question.
+    anchor and extends from there with ``_extends``, so it only visits
+    copies through it.  Where g without the anchor is F-free, it answers
+    the unanchored question.
     """
-    check_pattern_size(f)
+    plan = _plan(f.rows)
     k = len(through)
     if k == 0:
-        return f.n == 0 or bool(_injections(g, _plan(f).full, count_all=False))
-    if k > 2 or min(through) < 0 or max(through) >= g.n or k == 2 and through[0] == through[1]:
+        return f.n == 0 or bool(_injections(g, plan.full, count_all=False))
+    n = g.n
+    u, v = through[0], through[-1]  # u == v for one anchor
+    if k > 2 or not (0 <= u < n and 0 <= v < n) or k == 2 and u == v:
         raise InputError(f"through must be 0, 1 or 2 distinct vertices of g, got {through!r}")
-    if k == 2 and not g.rows[through[0]] >> through[1] & 1:
+    rows = g.rows
+    ru = rows[u]
+    if k == 2 and not ru >> v & 1 or f.n > n:
         return False
-    image = [*through] + [0] * (f.n - k)
-    for rooted in _plan(f).anchored(k):
-        if _injections(g, rooted, count_all=False, image=image, start=k):
+    image = [ru, rows[v], *_SLOTS]
+    free = ((1 << n) - 1) ^ (1 << u | 1 << v)
+    for _, back in plan.anchored(k):
+        if len(back) == k or _extends(rows, free, back, image, k):
             return True
     return False
 
 
 def find_subgraph(g: Graph, f: Graph) -> frozenset[int] | None:
-    """Vertex set of one copy of ``f`` in ``g``, or None."""
-    check_pattern_size(f)
+    """Vertex set of one copy of ``f`` in ``g`` (f.n <= 8), or None."""
+    plan = _plan(f.rows)
     image = [0] * f.n
-    if _injections(g, _plan(f).full, count_all=False, image=image):
+    if _injections(g, plan.full, count_all=False, image=image):
         return frozenset(image)
     return None

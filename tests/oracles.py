@@ -222,7 +222,8 @@ def dedup_enumerate(n: int, child_keep=None):
     Every child of every parent is canonically relabeled and kept once
     per graph6 key; each level is sorted by that key.  Same contract as
     ``satlab.search._enumerate``: the filter sees the parent rows, the
-    parent order and the new vertex's neighbor set.
+    parent order and the new vertex's neighbor set, and gives None to
+    drop the child.
     """
     if n == 0:
         yield Graph(0)
@@ -296,13 +297,16 @@ def unanchored_is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
 
 
 def unanchored_keep_pattern_free(f: Graph):
-    """Child filter: a full containment test of the child."""
+    """Child filter: a full containment test of the child, whose rows it
+    returns when the child is F-free (None otherwise)."""
 
     def keep(prows, k, subset):
         child = tuple(
             r | ((subset >> i & 1) << k) for i, r in enumerate(prows)
         ) + (subset,)
-        return not contains_subgraph(Graph._from_rows_unchecked(k + 1, child), f)
+        if contains_subgraph(Graph._from_rows_unchecked(k + 1, child), f):
+            return None
+        return child
 
     return keep
 

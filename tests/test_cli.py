@@ -237,9 +237,17 @@ class TestFlagsBeforeInput:
         (("search", "--n", "5", "--h", "k_2", "--f", "bogus"), "bad pattern 'bogus'"),
         (("search", "--n", "5", "--h", "k_2", "--f", "g6:B?"), "at least one edge"),
         (("search", "--n", "-1", "--h", "k_2", "--f", "k_3"), "need n >= 0"),
+        (("check", "--sat", "ks", "--s", "0"), "clique order must be >= 1"),
+        (("count", "--pattern", "star", "--t", "0"), "pattern sides must be >= 1"),
+        (("count", "--pattern", "clique", "--r", "0"), "clique order must be >= 1"),
+        (("count", "--pattern", "cycle", "--r", "2"), "cycle length must be in 3..8"),
+        (("count", "--pattern", "cycle", "--r", "9"), "cycle length must be in 3..8"),
+        (("count", "--pattern", "embed", "--g6", "H??????"), "beyond the 8 cap"),
     ], ids=["check_ks_no_s", "check_no_pattern", "check_bad_pattern", "check_edgeless",
             "count_star", "count_kab", "count_clique", "count_cycle", "count_embed",
-            "search_bad_h", "search_bad_f", "search_edgeless_f", "search_negative_n"])
+            "search_bad_h", "search_bad_f", "search_edgeless_f", "search_negative_n",
+            "check_ks_s0", "count_star_t0", "count_clique_r0", "count_cycle_r2",
+            "count_cycle_r9", "count_embed_9_vertices"])
     def test_usage_error_before_missing_input(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "-i", "/nonexistent.g6")
         assert code == 2 and out == ""

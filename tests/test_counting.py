@@ -21,6 +21,7 @@ from satlab import (
     contains_subgraph,
     cycle,
     empty_graph,
+    enumerate_graphs,
     find_subgraph,
     ehm_graph,
     induced_subgraph,
@@ -29,6 +30,7 @@ from satlab import (
     pattern_graph,
     petersen,
     star,
+    to_graph6,
 )
 from satlab import counting
 from conftest import random_graph, random_tripartite
@@ -293,6 +295,30 @@ def _without_edge(g, u, v):
     return Graph.from_rows(rows)
 
 
+#: every pattern with at least one edge on at most 5 vertices
+SMALL_PATTERNS = [f for n in range(2, 6) for f in enumerate_graphs(n) if f.edge_count()]
+
+
+def _anchor_outcomes(f, graphs, count):
+    """Check ``contains_subgraph`` on every edge anchor, both ways round,
+    and every vertex anchor of ``graphs`` against ``count`` differences;
+    return the sets of edge and of vertex verdicts seen."""
+    edge_outcomes, vertex_outcomes = set(), set()
+    for g in graphs:
+        base = count(g)
+        for u, v in g.edges():
+            want = count(_without_edge(g, u, v)) < base
+            assert contains_subgraph(g, f, through=(u, v)) is want, (g, u, v)
+            assert contains_subgraph(g, f, through=(v, u)) is want, (g, v, u)
+            edge_outcomes.add(want)
+        for w in range(g.n):
+            rest = induced_subgraph(g, [x for x in range(g.n) if x != w])
+            want = count(rest) < base
+            assert contains_subgraph(g, f, through=(w,)) is want, (g, w)
+            vertex_outcomes.add(want)
+    return edge_outcomes, vertex_outcomes
+
+
 class TestAnchoredContainment:
     """``contains_subgraph(g, f, through=...)`` against copy counts: some
     copy uses the edge uv iff g has more copies than g - uv, and uses
@@ -314,19 +340,17 @@ class TestAnchoredContainment:
         else:
             def count(g):
                 return count_embeddings(g, f)
-        outcomes = set()
-        for g in small_random_graphs:
-            base = count(g)
-            for u, v in g.edges():
-                want = count(_without_edge(g, u, v)) < base
-                assert contains_subgraph(g, f, through=(u, v)) is want, (g, u, v)
-                assert contains_subgraph(g, f, through=(v, u)) is want, (g, v, u)
-                outcomes.add(want)
-            for w in range(g.n):
-                rest = induced_subgraph(g, [x for x in range(g.n) if x != w])
-                want = count(rest) < base
-                assert contains_subgraph(g, f, through=(w,)) is want, (g, w)
-        assert outcomes == {False, True}
+        assert _anchor_outcomes(f, small_random_graphs, count)[0] == {False, True}
+
+    @pytest.mark.parametrize("f", SMALL_PATTERNS, ids=to_graph6)
+    def test_every_small_pattern(self, small_random_graphs, f):
+        # every pattern with an edge on at most 5 vertices, on the hosts
+        # of 5 to 7 vertices and on K_6, which holds a copy through each
+        # of its vertices and edges
+        hosts = [g for g in small_random_graphs if 5 <= g.n <= 7][:12] + [complete_graph(6)]
+        edge_outcomes, vertex_outcomes = _anchor_outcomes(
+            f, hosts, lambda g: count_embeddings(g, f))
+        assert True in edge_outcomes and True in vertex_outcomes
 
     def test_edgeless_pattern(self):
         g, f = complete_graph(4), empty_graph(3)
@@ -366,7 +390,7 @@ class TestAnchoredContainment:
             (empty_graph(3), 1, 0),
         ]
         for f, vertex_orbits, arc_orbits in cases:
-            plan = counting._plan(f)
+            plan = counting._plan(f.rows)
             assert len(plan.anchored(1)) == vertex_orbits, f
             assert len(plan.anchored(2)) == arc_orbits, f
             # each rooted order starts at its anchors and lists every
@@ -389,7 +413,7 @@ class TestAnchoredContainment:
         # K_2 plus an isolated vertex: the last position takes any unused
         # vertex, so there are e(g) * (n - 2) copies
         f = ANCHOR_PATTERNS["g6:B_"]
-        assert counting._plan(f).full.back[-1] == ()
+        assert counting._plan(f.rows).full.back[-1] == ()
         for g in small_random_graphs:
             want = g.edge_count() * max(g.n - 2, 0)
             assert count_embeddings(g, f) == want, g

@@ -261,10 +261,10 @@ class TestAnchoredPatternSearch:
         verdicts = []
 
         def keep(prows, k, subset):
-            verdict = fast(prows, k, subset)
-            assert verdict == slow(prows, k, subset), (prows, subset)
-            verdicts.append(verdict)
-            return verdict
+            child = fast(prows, k, subset)
+            assert child == slow(prows, k, subset), (prows, subset)
+            verdicts.append(child is not None)
+            return child
 
         for _ in _enumerate(7, keep):
             pass
