@@ -188,7 +188,8 @@ def _cmd_count(args) -> int:
         check_pattern_size(pat)
         label, counter = f"g6:{args.g6}", lambda g: count_embeddings(g, pat)
     if args.pattern in ("star", "clique", "cycle"):
-        parse_pattern(label)  # the range rule of --t or --r, before any input is read
+        name = "t" if args.pattern == "star" else "r"
+        _check_range(name, getattr(args, name), label)
 
     for g in _read_graphs(args.input):
         print(
@@ -198,6 +199,15 @@ def _cmd_count(args) -> int:
             )
         )
     return 0
+
+
+def _check_range(name: str, value: int, label: str) -> None:
+    """The range rule of ``--<name> <value>`` (its pattern ``label``'s),
+    before any input is read, naming the flag the user typed."""
+    try:
+        parse_pattern(label)
+    except InputError as exc:
+        raise InputError(f"--{name} {value}: {exc}") from exc
 
 
 def _report_json(report) -> dict:
@@ -218,7 +228,7 @@ def _cmd_check(args) -> int:
         if args.s is None:
             raise InputError("--sat ks requires --s")
         label, verdict = f"k_{args.s}", lambda g: is_ks_saturated(g, args.s)
-        parse_pattern(label)  # the range rule of --s, before any input is read
+        _check_range("s", args.s, label)
     else:
         if args.s is not None:
             raise InputError("--s applies only to --sat ks")

@@ -100,36 +100,23 @@ def creates_ks(g: Graph, u: int, v: int, s: int) -> bool:
 
 def is_ks_saturated(g: Graph, s: int) -> SaturationReport:
     """Full K_s-saturation report; deterministic lowest-witness choices."""
-    free, clique = is_ks_free(g, s)
-    if not free:
-        return SaturationReport(False, False, free_violation=clique)
-    rows = g.rows
-    full = g.vertex_mask
-    for u in range(g.n):
-        ru = rows[u]
-        # non-neighbors v > u
-        m = ~ru & full & -(2 << u)
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            if _find_clique(rows, ru & rows[v], s - 2) < 0:
-                return SaturationReport(True, False, saturation_violation=(u, v))
-    return SaturationReport(True, True)
+    return _report(g, s, is_ks_free(g, s)[1])
 
 
 def is_h_saturated(g: Graph, h: Graph) -> SaturationReport:
     """Saturation report for an arbitrary pattern (h.n <= 8, >= 1 edge).
 
-    One embedding search decides freeness and gives the witness; on an
-    h-free g, the first of ``_uncompleted_non_edges`` is the saturation
-    witness.
+    One embedding search decides freeness and gives the witness.
     """
     _check_saturation_pattern(h)
-    copy = find_subgraph(g, h)
+    return _report(g, h, find_subgraph(g, h))
+
+
+def _report(g: Graph, f: int | Graph, copy: frozenset[int] | None) -> SaturationReport:
+    """g's report from its copy of F, if any, and else its first uncompleted non-edge."""
     if copy is not None:
         return SaturationReport(False, False, free_violation=copy)
-    pair = next(_uncompleted_non_edges(g.rows, g.n, h), None)
+    pair = next(_uncompleted_non_edges(g.rows, g.n, f), None)
     if pair is not None:
         return SaturationReport(True, False, saturation_violation=pair)
     return SaturationReport(True, True)
@@ -143,18 +130,34 @@ def _check_saturation_pattern(h: Graph) -> None:
         raise InputError("saturation pattern needs at least one edge")
 
 
-def _uncompleted_non_edges(rows: tuple[int, ...], n: int, h: Graph,
+def _uncompleted_non_edges(rows: tuple[int, ...], n: int, f: int | Graph,
                            pairs: Iterable[tuple[int, int]] | None = None
                            ) -> Iterator[tuple[int, int]]:
     """Each non-edge uv (u < v) of the graph on ``rows``, lowest first,
-    with no copy of h through the edge uv in g + uv; with ``pairs``,
-    each of those non-edges in their order.
+    with no copy of F (a K_s order s or a pattern graph) through the edge
+    uv in g + uv; with ``pairs``, each of those non-edges in their order.
 
-    On an h-free graph a copy in g + uv uses the edge uv, so one search
-    anchored on it decides each non-edge.  This is the one per-non-edge
-    loop, shared by ``is_h_saturated`` and the pattern search's last
-    two levels.
+    On an F-free graph a copy in g + uv uses uv: a K_{s-2} in N(u) & N(v),
+    or one search anchored on uv.  This is the one per-non-edge loop,
+    shared by both saturation reports and the search's last two levels.
     """
+    if isinstance(f, int):
+        if pairs is not None:
+            for u, v in pairs:
+                if _find_clique(rows, rows[u] & rows[v], f - 2) < 0:
+                    yield u, v
+            return
+        full = (1 << n) - 1
+        for u in range(n):
+            ru = rows[u]
+            # non-neighbors v > u
+            m = ~ru & full & -(2 << u)
+            while m:
+                low = m & -m
+                m ^= low
+                if _find_clique(rows, ru & rows[low.bit_length() - 1], f - 2) < 0:
+                    yield u, low.bit_length() - 1
+        return
     if pairs is None:
         # lazily, lowest first: is_h_saturated stops at the first miss
         full = (1 << n) - 1
@@ -164,7 +167,7 @@ def _uncompleted_non_edges(rows: tuple[int, ...], n: int, h: Graph,
         added[u] |= 1 << v
         added[v] |= 1 << u
         if not contains_subgraph(
-            Graph._from_rows_unchecked(n, tuple(added)), h, through=(u, v)
+            Graph._from_rows_unchecked(n, tuple(added)), f, through=(u, v)
         ):
             yield u, v
 

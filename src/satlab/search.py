@@ -11,12 +11,12 @@ prunes the tree when minimizing over F-saturated graphs (an induced
 subgraph of an F-free graph is F-free, so pruning is exact).  A second
 hook, ``LastLevels``, decides saturation on the last two levels, so no
 enumerated graph is tested again: a graph on n-1 vertices is dropped
-when no last vertex can saturate it, else it hands its last level the
-vertices the last vertex must see (F = K_s) or its non-edges with no
-copy of F through them (any other F); a last-level column that cannot
-complete these is skipped unbuilt, and a last-level child is tested for
-saturation on its rows.  A labeled brute-force oracle over all
-2^C(n,2) graphs provides an independent cross-check at n <= 7.
+when no last vertex can saturate it, else it hands its last level one
+``_Carried`` state, for K_s and any other F alike; a last-level column
+that cannot complete it is skipped unbuilt, and a last-level child is
+tested on the carried non-edges and its new vertex's non-edges only.  A
+labeled brute-force oracle over all 2^C(n,2) graphs provides an
+independent cross-check at n <= 7.
 """
 
 from __future__ import annotations
@@ -74,23 +74,32 @@ def _check_n(n: int, cap: int | None = None, what: str = "", scope: str = "") ->
         raise InputError(f"{what} supports n <= {cap}{scope}, got n={n}")
 
 
+class _Carried(NamedTuple):
+    """What a graph on n-1 vertices hands its last level, for both F
+    kinds: its non-edges with no copy of F through them, the vertices the
+    last vertex must see (U for K_s, 0 for a pattern) and the masks it
+    must meet (none for K_s)."""
+
+    pairs: list[tuple[int, int]]
+    must: int
+    balls: tuple[int, ...]
+
+
 class LastLevels(NamedTuple):
     """Checks for the last two levels of ``_enumerate``; unlike
     ``child_keep`` they need not be hereditary.
 
     ``need(rows, k)`` sees each child on k = n-1 vertices, ahead of the
     canonicity test when ``need_first`` is set and after it otherwise:
-    None drops the child, anything else is the state its own children
-    read.  On the last level ``column(state, subset)`` decides each
-    column before the child is built; without a ``column`` the state is
-    the set of vertices the last vertex must be adjacent to, tested
-    inline.  ``complete(rows, n, state)`` sees each child that
+    None drops the child, a ``_Carried`` state is what its own children
+    read.  On the last level a column is skipped before its child is
+    built unless it contains ``must`` and meets every ball of that
+    state; ``complete(rows, n, state)`` sees each child that
     ``child_keep`` builds.
     """
 
-    need: Callable[[tuple[int, ...], int], object]
-    complete: Callable[[tuple[int, ...], int, object], bool]
-    column: Callable[[object, int], bool] | None
+    need: Callable[[tuple[int, ...], int], _Carried | None]
+    complete: Callable[[tuple[int, ...], int, _Carried], bool]
     need_first: bool
 
 
@@ -107,9 +116,9 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
     kept) for the stream to cover every class it keeps.  ``last``
     adds the checks of ``LastLevels`` on levels n-1 and n.  When
     ``need`` drops only graphs with no child that ``complete`` accepts,
-    and the column test skips only such columns, the stream is the
-    unhooked one filtered by ``complete``, graph by graph and in the
-    same order.
+    and its state's ``must`` and balls skip only such columns, the
+    stream is the unhooked one filtered by ``complete``, graph by graph
+    and in the same order.
 
     Depth-first orderly generation.  A child's minimal string is its
     parent's followed by the new vertex's column, so visiting parents in
@@ -129,7 +138,7 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
     if child_keep is None:
         child_keep = _child_rows
 
-    def grow(prows: tuple[int, ...], k: int, last_col: int, state: object) -> Iterator[Graph]:
+    def grow(prows: tuple[int, ...], k: int, last_col: int, state: _Carried) -> Iterator[Graph]:
         if k == n:
             yield Graph._from_rows_unchecked(n, prows)
             return
@@ -138,15 +147,13 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
         ahead = last is not None and k + 2 == n
         early = ahead and last.need_first
         late = ahead and not last.need_first
-        column = last.column if final else None
-        inline = final and column is None
+        if final:
+            must, balls = state.must, state.balls
         cstate = None
         for col in range(last_col << 1, 1 << k):
             subset = cols[col]
-            if inline:
-                if subset & state != state:
-                    continue
-            elif column is not None and not column(state, subset):
+            if final and (subset & must != must
+                          or balls and not all(subset & ball for ball in balls)):
                 continue
             child = child_keep(prows, k, subset)
             if child is None:
@@ -166,7 +173,8 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
                         continue
                 yield from grow(child, k + 1, col, cstate)
 
-    root = last.need((0,), 1) if last is not None and n == 2 else 0
+    # only the last level reads a state; K_1 is level n-1 at n = 2
+    root = last.need((0,), 1) if last is not None and n == 2 else _Carried([], 0, ())
     if root is not None:
         yield from grow((0,), 1, 0, root)  # K_1
 
@@ -196,16 +204,19 @@ def _ks_saturation_levels(s: int) -> LastLevels:
     A non-edge uv of a graph on n-1 vertices whose common neighborhood
     holds no K_{s-2} can only be completed by the last vertex, inside a
     K_{s-2} made of it and a K_{s-3} of that common neighborhood: with
-    no such K_{s-3}, no last vertex saturates the graph.  Otherwise the
-    last vertex must be adjacent to both endpoints.  The endpoints U of
-    all such non-edges then lie in its neighborhood, which
-    ``_keep_ks_free`` keeps K_{s-1}-free: if U spans a K_{s-1}, no last
-    vertex saturates the graph either.  On the last level only the
-    non-edges inside U and those at the new vertex can lack a witness;
-    every other non-edge keeps its parent's witness.
+    no such K_{s-3}, no last vertex saturates the graph.  Otherwise uv
+    is carried and the last vertex must be adjacent to both endpoints.
+    The endpoints U of all carried non-edges then lie in its
+    neighborhood, which ``_keep_ks_free`` keeps K_{s-1}-free: if U spans
+    a K_{s-1}, no last vertex saturates the graph either.  This is the
+    diameter-1 case of the pattern rules: U is ``must``, and there are no
+    balls.  On the last level only the carried non-edges and those at
+    the new vertex can lack a witness; every other non-edge keeps its
+    parent's witness.
     """
 
-    def need(rows: tuple[int, ...], k: int) -> int | None:
+    def need(rows: tuple[int, ...], k: int) -> _Carried | None:
+        pairs = []
         u_mask = 0
         for u in range(k):
             ru = rows[u]
@@ -219,33 +230,26 @@ def _ks_saturation_levels(s: int) -> LastLevels:
                     if _find_clique(rows, common, s - 3) < 0:
                         return None
                     u_mask |= 1 << u | low
-        return None if _find_clique(rows, u_mask, s - 1) >= 0 else u_mask
-
-    def complete(rows: tuple[int, ...], n: int, need: int) -> bool:
-        m = need
-        while m:
-            low = m & -m
-            m ^= low
-            ru = rows[low.bit_length() - 1]
-            others = need & ~ru & -(low << 1)
-            while others:
-                lv = others & -others
-                others ^= lv
-                if _find_clique(rows, ru & rows[lv.bit_length() - 1], s - 2) < 0:
-                    return False
-        rw = rows[n - 1]
-        m = ~rw & ((1 << (n - 1)) - 1)
-        while m:
-            low = m & -m
-            m ^= low
-            if _find_clique(rows, rw & rows[low.bit_length() - 1], s - 2) < 0:
-                return False
-        return True
+                    pairs.append((u, low.bit_length() - 1))
+        return None if _find_clique(rows, u_mask, s - 1) >= 0 else _Carried(pairs, u_mask, ())
 
     # need runs ahead of is_canonical: it drops most level n-1 children
     # for less than the canonicity test costs (n=10 K_4, single runs on
     # a 2.1 GHz Xeon: 65 s with need after it, 5.3 s ahead of it)
-    return LastLevels(need, complete, column=None, need_first=True)
+    return LastLevels(need, _completes(s), need_first=True)
+
+
+def _completes(f: int | Graph) -> Callable[[tuple[int, ...], int, _Carried], bool]:
+    """The one ``complete`` of both F kinds (a K_s order or a pattern
+    graph): a last-level child is saturated iff each carried non-edge and
+    each non-edge at its new vertex has a copy of F through it."""
+
+    def complete(rows: tuple[int, ...], n: int, state: _Carried) -> bool:
+        x = n - 1
+        pairs = state.pairs + [(v, x) for v in bits_of(~rows[x] & ((1 << x) - 1))]
+        return next(_uncompleted_non_edges(rows, n, f, pairs), None) is None
+
+    return complete
 
 
 def _keep_pattern_free(f: Graph) -> _ChildKeep:
@@ -260,15 +264,6 @@ def _keep_pattern_free(f: Graph) -> _ChildKeep:
         return child
 
     return keep
-
-
-class _Carried(NamedTuple):
-    """What a pattern search's graph on n-1 vertices hands its last
-    level: its non-edges with no copy of F through them, and the masks
-    that every last vertex's neighbourhood must meet."""
-
-    pairs: list[tuple[int, int]]
-    balls: tuple[int, ...]
 
 
 def _pattern_saturation_levels(f: Graph) -> LastLevels:
@@ -310,20 +305,9 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
             balls.add(_ball(added, u, radius))
             balls.add(_ball(added, v, radius))
         # smallest first: the likeliest to be missed
-        return _Carried(carried, tuple(sorted(balls, key=int.bit_count)))
+        return _Carried(carried, 0, tuple(sorted(balls, key=int.bit_count)))
 
-    def column(state: _Carried, subset: int) -> bool:
-        for ball in state.balls:
-            if not subset & ball:
-                return False
-        return True
-
-    def complete(rows: tuple[int, ...], n: int, state: _Carried) -> bool:
-        x = n - 1
-        pairs = state.pairs + [(v, x) for v in bits_of(~rows[x] & ((1 << x) - 1))]
-        return next(_uncompleted_non_edges(rows, n, f, pairs), None) is None
-
-    return LastLevels(need, complete, column, need_first=False)
+    return LastLevels(need, _completes(f), need_first=False)
 
 
 def _ball(rows: tuple[int, ...] | list[int], u: int, radius: int) -> int:

@@ -221,7 +221,7 @@ class TestSearch:
 class TestFlagsBeforeInput:
     """A usage error in the flags exits 2 before any input is read: a
     missing input file would otherwise exit 3, and stdin would be read
-    to its end first."""
+    to its end first.  A range error names the flag the user typed."""
 
     @pytest.mark.parametrize("argv,message", [
         (("check", "--sat", "ks"), "--sat ks requires --s"),
@@ -237,11 +237,16 @@ class TestFlagsBeforeInput:
         (("search", "--n", "5", "--h", "k_2", "--f", "bogus"), "bad pattern 'bogus'"),
         (("search", "--n", "5", "--h", "k_2", "--f", "g6:B?"), "at least one edge"),
         (("search", "--n", "-1", "--h", "k_2", "--f", "k_3"), "need n >= 0"),
-        (("check", "--sat", "ks", "--s", "0"), "clique order must be >= 1"),
-        (("count", "--pattern", "star", "--t", "0"), "pattern sides must be >= 1"),
-        (("count", "--pattern", "clique", "--r", "0"), "clique order must be >= 1"),
-        (("count", "--pattern", "cycle", "--r", "2"), "cycle length must be in 3..8"),
-        (("count", "--pattern", "cycle", "--r", "9"), "cycle length must be in 3..8"),
+        (("check", "--sat", "ks", "--s", "0"),
+         "--s 0: bad pattern 'k_0': clique order must be >= 1"),
+        (("count", "--pattern", "star", "--t", "0"),
+         "--t 0: bad pattern 'k_1_0': pattern sides must be >= 1"),
+        (("count", "--pattern", "clique", "--r", "0"),
+         "--r 0: bad pattern 'k_0': clique order must be >= 1"),
+        (("count", "--pattern", "cycle", "--r", "2"),
+         "--r 2: bad pattern 'c_2': cycle length must be in 3..8"),
+        (("count", "--pattern", "cycle", "--r", "9"),
+         "--r 9: bad pattern 'c_9': cycle length must be in 3..8"),
         (("count", "--pattern", "embed", "--g6", "H??????"), "beyond the 8 cap"),
     ], ids=["check_ks_no_s", "check_no_pattern", "check_bad_pattern", "check_edgeless",
             "count_star", "count_kab", "count_clique", "count_cycle", "count_embed",

@@ -1,5 +1,7 @@
 """Enumeration integrity and exact sat(n, H, F) values."""
 
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -31,9 +33,9 @@ from satlab.search import (
     MAX_KS_SEARCH_VERTICES,
     MAX_PATTERN_SEARCH_VERTICES,
     _enumerate,
+    _forbidden,
     _keep_ks_free,
     _keep_pattern_free,
-    _pattern_saturation_levels,
     ks_search_cap,
     saturated_classes,
     saturated_stream,
@@ -42,6 +44,7 @@ from oracles import (
     class_count_burnside,
     dedup_enumerate,
     filter_then_test_stream,
+    ks_saturated_oracle,
     unanchored_is_h_saturated,
     unanchored_keep_pattern_free,
     unanchored_saturated_stream,
@@ -147,10 +150,52 @@ class TestSaturationAwareLastLevels:
             with pytest.raises(InputError):
                 next(saturated_stream(ks_search_cap(s) + 1, ("clique", s)))
 
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_last_level_verdicts(self, s):
+        _assert_last_level_verdicts(f"k_{s}")
+
+    @pytest.mark.parametrize("s,digest", [
+        (3, "552ac77442df34e3eb47e629b885ee704c48c3e4d722a2e97e2d73974fbdc9ec"),
+        (4, "64bd3d227b4e82f7b4f6386dacabcd984b0ba2053f72cf15180ac65200ea61f3"),
+    ], ids=["k_3", "k_4"])
+    def test_n10_stream_is_pinned(self, s, digest):
+        # sha256 of the (rows, form) list at n = 10, above the n <= 9
+        # filter-then-test comparison; 31 and 111 classes
+        pairs = [(g.rows, form) for g, form in saturated_stream(10, ("clique", s))]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
     def test_source_graphs_are_still_tested(self):
         # the last-level checks only run on enumerated graphs
         pairs = list(saturated_stream(5, ("clique", 3), source=[cycle(5), ehm_graph(5, 4)]))
         assert [form for _, form in pairs] == [canonical_form(cycle(5))]
+
+
+def _oracle_verdict(spec):
+    """F-saturation decided without the search's look-ahead: subset scans
+    for K_s, full containment tests for any other F."""
+    if spec[0] == "clique":
+        return lambda g: ks_saturated_oracle(g, spec[1])
+    f = pattern_graph(spec)
+    return lambda g: unanchored_is_h_saturated(g, f).is_saturated
+
+
+def _assert_last_level_verdicts(token):
+    # the last-level check on every child the filter keeps, n <= 7
+    spec = parse_pattern(token)
+    _, _, keep, check, _ = _forbidden(spec)
+    saturated = _oracle_verdict(spec)
+    verdicts = []
+
+    def complete(rows, n, state):
+        verdict = check.complete(rows, n, state)
+        assert verdict == saturated(Graph._from_rows_unchecked(n, rows)), rows
+        verdicts.append(verdict)
+        return verdict
+
+    for n in range(2, 8):
+        for _ in _enumerate(n, keep, check._replace(complete=complete)):
+            pass
+    assert True in verdicts and False in verdicts
 
 
 def is_ks_free_quick(g):
@@ -179,37 +224,24 @@ class TestAnchoredPatternSearch:
 
     @pytest.mark.parametrize("token", ["c_4", "k_2_3", "g6:C`"])
     def test_last_level_verdicts(self, token):
-        # the last-level check on every child the filter keeps, n <= 7
-        f = pattern_graph(parse_pattern(token))
-        check = _pattern_saturation_levels(f)
-        verdicts = []
-
-        def complete(rows, n, need):
-            verdict = check.complete(rows, n, need)
-            want = unanchored_is_h_saturated(Graph._from_rows_unchecked(n, rows), f)
-            assert verdict == want.is_saturated, rows
-            verdicts.append(verdict)
-            return verdict
-
-        for n in range(2, 8):
-            for _ in _enumerate(n, _keep_pattern_free(f), check._replace(complete=complete)):
-                pass
-        assert True in verdicts and False in verdicts
+        _assert_last_level_verdicts(token)
 
     @pytest.mark.parametrize("token,n_max", [
         ("c_4", 8), ("c_5", 7), ("k_2_3", 7), ("k_1_3", 7), ("c_6", 7), ("g6:C^", 7),
         ("g6:C`", 7), ("g6:Ch", 7), ("g6:B_", 7), ("g6:Cg", 7),
+        ("k_3", 8), ("k_4", 8), ("k_5", 8),
     ])
     def test_lookahead_rules_are_exact(self, token, n_max):
         # every level n-1 graph that need drops (rule 2) and every column
-        # it skips (rule 3) has no saturated child in the unhooked stream,
-        # and complete on the carried pairs (rule 1) gives the full verdict
-        f = pattern_graph(parse_pattern(token))
-        keep = _keep_pattern_free(f)
-        check = _pattern_saturation_levels(f)
+        # its state skips (must and balls, rule 3) has no saturated child
+        # in the unhooked stream, and complete on the carried pairs
+        # (rule 1) gives the full verdict; both F kinds share the rules
+        spec = parse_pattern(token)
+        _, _, keep, check, _ = _forbidden(spec)
+        saturated = _oracle_verdict(spec)
         fired = {"carry": 0, "drop": 0, "skip": 0}
         for n in range(2, n_max + 1):
-            dropped, skipped = set(), set()
+            dropped, states = set(), {}
 
             def need(rows, k):
                 state = check.need(rows, k)
@@ -218,31 +250,29 @@ class TestAnchoredPatternSearch:
                     return None
                 non_edges = k * (k - 1) // 2 - sum(r.bit_count() for r in rows) // 2
                 fired["carry"] += len(state.pairs) < non_edges
-                return rows, state  # the parent travels with its state
-
-            def column(state, subset):
-                ok = check.column(state[1], subset)
-                if not ok:
-                    skipped.add((state[0], subset))
-                return ok
+                states[rows] = state
+                return state
 
             def complete(rows, n, state):
-                verdict = check.complete(rows, n, state[1])
-                want = unanchored_is_h_saturated(Graph._from_rows_unchecked(n, rows), f)
-                assert verdict == want.is_saturated, rows
+                verdict = check.complete(rows, n, state)
+                assert verdict == saturated(Graph._from_rows_unchecked(n, rows)), rows
                 return verdict
 
-            for _ in _enumerate(n, keep, check._replace(need=need, column=column,
-                                                        complete=complete)):
+            for _ in _enumerate(n, keep, check._replace(need=need, complete=complete)):
                 pass
             low = (1 << (n - 1)) - 1
             for g in _enumerate(n, keep):
-                parent = tuple(r & low for r in g.rows[:-1])
-                if parent in dropped or (parent, g.rows[-1]) in skipped:
-                    assert not unanchored_is_h_saturated(g, f).is_saturated, (token, g.rows)
+                parent, subset = tuple(r & low for r in g.rows[:-1]), g.rows[-1]
+                if parent in dropped:
+                    assert not saturated(g), (token, g.rows)
+                    continue
+                state = states[parent]
+                if (subset & state.must != state.must
+                        or not all(subset & ball for ball in state.balls)):
+                    assert not saturated(g), (token, g.rows)
+                    fired["skip"] += 1
             fired["drop"] += len(dropped)
-            fired["skip"] += len(skipped)
-        if token in ("c_4", "k_2_3"):
+        if token in ("c_4", "k_2_3", "k_3", "k_4"):
             assert min(fired.values()) > 0, fired
 
     def test_search_cap(self):
@@ -310,6 +340,11 @@ class TestMinCount:
             g = from_graph6(form)
             assert is_ks_saturated(g, 3).is_saturated
             assert count_pattern(g, h) == r.min_count
+
+    def test_ollmann_c4_edges(self):
+        # sat(n, C_4) = floor((3n - 5) / 2) for n >= 5 (Ollmann 1972)
+        for n in range(5, MAX_PATTERN_SEARCH_VERTICES + 1):
+            assert min_count_over_saturated(n, "k_2", "c_4").min_count == (3 * n - 5) // 2, n
 
     def test_pattern_f(self):
         # K_3 as an explicit pattern graph must agree with the clique path
