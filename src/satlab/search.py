@@ -13,10 +13,10 @@ hook, ``LastLevels``, decides saturation on the last two levels, so no
 enumerated graph is tested again: a graph on n-1 vertices is dropped
 when no last vertex can saturate it, else it hands its last level one
 ``_Carried`` state, for K_s and any other F alike; a last-level column
-that cannot complete it is skipped unbuilt, and a last-level child is
-tested on the carried non-edges and its new vertex's non-edges only.  A
-labeled brute-force oracle over all 2^C(n,2) graphs provides an
-independent cross-check at n <= 7.
+that misses a vertex the last vertex must see is skipped unbuilt, and a
+last-level child is tested on the carried non-edges and its new vertex's
+non-edges only.  A labeled brute-force oracle over all 2^C(n,2) graphs
+provides an independent cross-check at n <= 7.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ MAX_ENUM_VERTICES = 9
 #: canonical labeling alone.
 MAX_KS_SEARCH_VERTICES = {2: 16, 3: 12, 4: 10}
 #: Largest n of the saturated search for any other F (F itself may have
-#: up to ``counting.MAX_PATTERN_VERTICES`` vertices).
-MAX_PATTERN_SEARCH_VERTICES = 8
+#: up to ``counting.MAX_PATTERN_VERTICES`` vertices): every n = 9 CLI
+#: search tried takes at most 13 s (c_8; single runs, 2.1 GHz Xeon).
+MAX_PATTERN_SEARCH_VERTICES = 9
 DEFAULT_EXTREMAL_CAP = 100
 
 
@@ -76,13 +77,11 @@ def _check_n(n: int, cap: int | None = None, what: str = "", scope: str = "") ->
 
 class _Carried(NamedTuple):
     """What a graph on n-1 vertices hands its last level, for both F
-    kinds: its non-edges with no copy of F through them, the vertices the
-    last vertex must see (U for K_s, 0 for a pattern) and the masks it
-    must meet (none for K_s)."""
+    kinds: its non-edges with no copy of F through them and the vertices
+    the last vertex must see (U for K_s, 0 for a pattern)."""
 
     pairs: list[tuple[int, int]]
     must: int
-    balls: tuple[int, ...]
 
 
 class LastLevels(NamedTuple):
@@ -93,9 +92,9 @@ class LastLevels(NamedTuple):
     canonicity test when ``need_first`` is set and after it otherwise:
     None drops the child, a ``_Carried`` state is what its own children
     read.  On the last level a column is skipped before its child is
-    built unless it contains ``must`` and meets every ball of that
-    state; ``complete(rows, n, state)`` sees each child that
-    ``child_keep`` builds.
+    built unless it contains that state's ``must``;
+    ``complete(rows, n, state)`` sees each child that ``child_keep``
+    builds.
     """
 
     need: Callable[[tuple[int, ...], int], _Carried | None]
@@ -116,9 +115,9 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
     kept) for the stream to cover every class it keeps.  ``last``
     adds the checks of ``LastLevels`` on levels n-1 and n.  When
     ``need`` drops only graphs with no child that ``complete`` accepts,
-    and its state's ``must`` and balls skip only such columns, the
-    stream is the unhooked one filtered by ``complete``, graph by graph
-    and in the same order.
+    and its state's ``must`` skips only such columns, the stream is the
+    unhooked one filtered by ``complete``, graph by graph and in the same
+    order.
 
     Depth-first orderly generation.  A child's minimal string is its
     parent's followed by the new vertex's column, so visiting parents in
@@ -148,12 +147,11 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
         early = ahead and last.need_first
         late = ahead and not last.need_first
         if final:
-            must, balls = state.must, state.balls
+            must = state.must
         cstate = None
         for col in range(last_col << 1, 1 << k):
             subset = cols[col]
-            if final and (subset & must != must
-                          or balls and not all(subset & ball for ball in balls)):
+            if final and subset & must != must:
                 continue
             child = child_keep(prows, k, subset)
             if child is None:
@@ -174,7 +172,7 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
                 yield from grow(child, k + 1, col, cstate)
 
     # only the last level reads a state; K_1 is level n-1 at n = 2
-    root = last.need((0,), 1) if last is not None and n == 2 else _Carried([], 0, ())
+    root = last.need((0,), 1) if last is not None and n == 2 else _Carried([], 0)
     if root is not None:
         yield from grow((0,), 1, 0, root)  # K_1
 
@@ -208,11 +206,10 @@ def _ks_saturation_levels(s: int) -> LastLevels:
     is carried and the last vertex must be adjacent to both endpoints.
     The endpoints U of all carried non-edges then lie in its
     neighborhood, which ``_keep_ks_free`` keeps K_{s-1}-free: if U spans
-    a K_{s-1}, no last vertex saturates the graph either.  This is the
-    diameter-1 case of the pattern rules: U is ``must``, and there are no
-    balls.  On the last level only the carried non-edges and those at
-    the new vertex can lack a witness; every other non-edge keeps its
-    parent's witness.
+    a K_{s-1}, no last vertex saturates the graph either.  The state is
+    the pattern rules' one with U as ``must``.  On the last level only
+    the carried non-edges and those at the new vertex can lack a
+    witness; every other non-edge keeps its parent's witness.
     """
 
     def need(rows: tuple[int, ...], k: int) -> _Carried | None:
@@ -231,7 +228,7 @@ def _ks_saturation_levels(s: int) -> LastLevels:
                         return None
                     u_mask |= 1 << u | low
                     pairs.append((u, low.bit_length() - 1))
-        return None if _find_clique(rows, u_mask, s - 1) >= 0 else _Carried(pairs, u_mask, ())
+        return None if _find_clique(rows, u_mask, s - 1) >= 0 else _Carried(pairs, u_mask)
 
     # need runs ahead of is_canonical: it drops most level n-1 children
     # for less than the canonicity test costs (n=10 K_4, single runs on
@@ -267,7 +264,7 @@ def _keep_pattern_free(f: Graph) -> _ChildKeep:
 
 
 def _pattern_saturation_levels(f: Graph) -> LastLevels:
-    """F-saturation as ``LastLevels`` over F-free graphs, by three exact
+    """F-saturation as ``LastLevels`` over F-free graphs, by two exact
     rules on a graph G' on n-1 vertices and the last vertex x.
 
     1. ``need`` carries the non-edges uv with no copy of F through uv in
@@ -276,10 +273,12 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
        child, which ``_keep_pattern_free`` has kept F-free.
     2. x adjacent to all of G' only adds copies: when a carried uv has
        no copy through it in G' + uv + x even then, ``need`` drops G'.
-    3. For F connected of diameter d, a copy through a carried uv uses
-       x, and its shortest path from u (or v) to x gives x a neighbour
-       within distance d-1 of u (or v) in G' + uv: a column missing one
-       of these balls is skipped unbuilt.  Disconnected F gets no ball.
+
+    The state's ``must`` is 0, so every last-level column is built.
+    Skipping the columns that miss a radius d-1 ball around a carried
+    pair's ends (d the diameter of F) is exact too, but it skips only
+    children that ``complete`` rejects anyway and costs about what it
+    saves, so there is no such rule.
 
     ``need`` runs after ``is_canonical``: it costs a containment search
     per non-edge, more than the canonicity tests it would save.  n = 8
@@ -289,7 +288,6 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
     0.20 s in-process with ``need`` ahead against 0.15 s after (medians
     of three alternated runs of ten, 2.1 GHz Xeon).
     """
-    radius = _diameter(f) - 1
 
     def need(rows: tuple[int, ...], k: int) -> _Carried | None:
         carried = list(_uncompleted_non_edges(rows, k, f))
@@ -297,47 +295,9 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
         universal = tuple(r | bit for r in rows) + (bit - 1,)
         if next(_uncompleted_non_edges(universal, k + 1, f, carried), None) is not None:
             return None
-        balls = set()
-        for u, v in carried if radius >= 0 else ():
-            added = list(rows)
-            added[u] |= 1 << v
-            added[v] |= 1 << u
-            balls.add(_ball(added, u, radius))
-            balls.add(_ball(added, v, radius))
-        # smallest first: the likeliest to be missed
-        return _Carried(carried, 0, tuple(sorted(balls, key=int.bit_count)))
+        return _Carried(carried, 0)
 
     return LastLevels(need, _completes(f), need_first=False)
-
-
-def _ball(rows: tuple[int, ...] | list[int], u: int, radius: int) -> int:
-    """Mask of the vertices within distance ``radius`` of u."""
-    ball = frontier = 1 << u
-    for _ in range(radius):
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            reach |= rows[low.bit_length() - 1]
-        frontier = reach & ~ball
-        if not frontier:
-            break
-        ball |= frontier
-    return ball
-
-
-def _diameter(f: Graph) -> int:
-    """Diameter of f, or -1 when f is disconnected."""
-    d = 0
-    for v in range(f.n):
-        r = 0
-        while _ball(f.rows, v, r) != f.vertex_mask:
-            r += 1
-            if r == f.n:
-                return -1
-        d = max(d, r)
-    return d
 
 
 def _forbidden_graph(f: PatternSpec) -> Graph | None:

@@ -222,6 +222,17 @@ class TestAnchoredPatternSearch:
             want = [(g.rows, form) for g, form in unanchored_saturated_stream(n, token)]
             assert got == want, (token, n)
 
+    @pytest.mark.parametrize("token,digest", [
+        ("c_4", "153763e07289f09ae3ce21ca378217534006f5e2fb2cd7cb6bae21309347dffa"),
+        ("c_5", "809fd11e9ba48dffb717342175d4831c44bd4a83eec5fa384269d5fcd53b103e"),
+        ("k_2_3", "b24becafe52f332d7d57ee9256bdda9d711578d040f2e83045ecf963cfa95cfb"),
+    ], ids=["c_4", "c_5", "k_2_3"])
+    def test_n9_pattern_stream_is_pinned(self, token, digest):
+        # sha256 of the (rows, form) list at n = 9, above the n <= 8
+        # comparison with full containment tests; 34, 64 and 103 classes
+        pairs = [(g.rows, form) for g, form in saturated_stream(9, parse_pattern(token))]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("token", ["c_4", "k_2_3", "g6:C`"])
     def test_last_level_verdicts(self, token):
         _assert_last_level_verdicts(token)
@@ -233,9 +244,10 @@ class TestAnchoredPatternSearch:
     ])
     def test_lookahead_rules_are_exact(self, token, n_max):
         # every level n-1 graph that need drops (rule 2) and every column
-        # its state skips (must and balls, rule 3) has no saturated child
-        # in the unhooked stream, and complete on the carried pairs
-        # (rule 1) gives the full verdict; both F kinds share the rules
+        # its state's must skips has no saturated child in the unhooked
+        # stream, and complete on the carried pairs (rule 1) gives the
+        # full verdict; both F kinds share the rules, and only K_s has a
+        # nonzero must
         spec = parse_pattern(token)
         _, _, keep, check, _ = _forbidden(spec)
         saturated = _oracle_verdict(spec)
@@ -267,18 +279,21 @@ class TestAnchoredPatternSearch:
                     assert not saturated(g), (token, g.rows)
                     continue
                 state = states[parent]
-                if (subset & state.must != state.must
-                        or not all(subset & ball for ball in state.balls)):
+                if subset & state.must != state.must:
                     assert not saturated(g), (token, g.rows)
                     fired["skip"] += 1
             fired["drop"] += len(dropped)
-        if token in ("c_4", "k_2_3", "k_3", "k_4"):
+        if spec[0] != "clique":
+            assert fired["skip"] == 0, fired
+        if token in ("c_4", "k_2_3"):
+            assert fired["carry"] > 0 and fired["drop"] > 0, fired
+        if token in ("k_3", "k_4"):
             assert min(fired.values()) > 0, fired
 
     def test_search_cap(self):
-        assert MAX_PATTERN_SEARCH_VERTICES == 8
-        with pytest.raises(InputError, match="n <= 8 for pattern F"):
-            next(saturated_stream(9, parse_pattern("c_4")))
+        assert MAX_PATTERN_SEARCH_VERTICES == 9
+        with pytest.raises(InputError, match="n <= 9 for pattern F"):
+            next(saturated_stream(10, parse_pattern("c_4")))
         # F past its own size cap, though n <= 1 builds no child to test
         for n in (0, 1):
             with pytest.raises(InputError, match="beyond the 8 cap"):
