@@ -4,12 +4,21 @@ The C(n,2) vertex pairs are shuffled with a seeded splitmix64 generator
 and inserted greedily, keeping an edge iff it preserves F-freeness.  The
 result is always F-saturated, so each run yields an upper-bound sample
 for sat(n, H, F).
+
+Two kernels carry a run.  The shuffle computes every splitmix64 draw of
+one permutation at once, in 128-bit lanes of one Python int
+(``shuffled_pair_indices``).  The pair test is one lookup in masks of
+closed pairs for F = K_4 (``_k4_free_greedy``), one clique search in
+the common neighbourhood for other cliques, and one containment search
+anchored on the new edge for a pattern F (``_ffree_greedy``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -22,6 +31,7 @@ from .saturation import _find_clique
 from .search import _check_n, _forbidden_graph, count_pattern
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -32,7 +42,7 @@ class SplitMix64:
         self._x = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._x = (self._x + 0x9E3779B97F4A7C15) & _MASK64
+        self._x = (self._x + _GAMMA) & _MASK64
         z = self._x
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -46,23 +56,51 @@ class SplitMix64:
 
 def pair_order(n: int) -> list[tuple[int, int]]:
     """The fixed pair enumeration (0,1),(0,2),...,(n-2,n-1)."""
-    return list(combinations(range(n), 2))
+    return list(_pairs(n))
+
+
+@lru_cache(maxsize=1)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The fixed pair enumeration as a tuple, kept for the trials of one
+    n; ``pair_order`` hands out a list copy."""
+    return tuple(combinations(range(n), 2))
+
+
+@lru_cache(maxsize=1)
+def _lanes(m: int) -> tuple[int, int, int, struct.Struct]:
+    """The lane constants of an ``m``-draw shuffle: lane k (bits
+    128(k-1) up, k = 1..m) of the three ints holds k * gamma mod 2^64, 1
+    and 2^64 - 1; the struct packs and reads the low 64 bits of each
+    lane, little-endian on every platform."""
+    lanes = struct.Struct("<" + "Q8x" * m)
+    steps = int.from_bytes(lanes.pack(*[k * _GAMMA & _MASK64 for k in range(1, m + 1)]), "little")
+    ones = int.from_bytes(lanes.pack(*[1] * m), "little")
+    return steps, ones, ones * _MASK64, lanes
 
 
 def shuffled_pair_indices(n: int, seed: int) -> list[int]:
     """Fisher-Yates permutation of pair indices, high index downward.
 
-    Draw j is ``SplitMix64(seed).below(i + 1)``, with the generator
-    stepped inline on a local state.
+    Draw j is ``SplitMix64(seed).below(i + 1)``.  The m - 1 generator
+    outputs of one shuffle are computed at once: the states
+    seed + k * gamma (k = 1..m-1) sit in 128-bit lanes of one int, and
+    each xor-shift-multiply step masks every lane to 64 bits before it
+    multiplies, so a 64 x 64-bit product fills its own lane and carries
+    nothing into the next.  ``struct`` then reads the low 64 bits of each
+    lane, little-endian on every platform.
     """
     m = n * (n - 1) // 2
     idx = list(range(m))
-    x = seed & _MASK64
-    for i in range(m - 1, 0, -1):
-        x = (x + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        j = (z ^ (z >> 31)) % (i + 1)
+    if m < 2:
+        return idx
+    steps, ones, mask, lanes = _lanes(m - 1)
+    z = ((seed & _MASK64) * ones + steps) & mask
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    z ^= z >> 31
+    draws = lanes.unpack(z.to_bytes(16 * (m - 1), "little"))
+    for i, r in zip(range(m - 1, 0, -1), draws):
+        j = r % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 
@@ -99,29 +137,12 @@ def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
     if kind == "clique" and value < 3:
         raise InputError(f"process needs clique order >= 3, got {value}")
     fgraph = _forbidden_graph(f)
-    pairs = pair_order(n)
+    pairs = _pairs(n)
     order = shuffled_pair_indices(n, seed)
-    rows = [0] * n
-    accepted: list[tuple[int, int]] = []
-    for pi in order:
-        u, v = pairs[pi]
-        if fgraph is None:
-            creates = _find_clique(rows, rows[u] & rows[v], value - 2) >= 0
-        else:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            # the graph before uv is F-free: a new copy must use uv
-            creates = contains_subgraph(
-                Graph._from_rows_unchecked(n, tuple(rows)), fgraph, through=(u, v)
-            )
-            if creates:
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-        if not creates:
-            if fgraph is None:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            accepted.append((u, v))
+    if f == ("clique", 4):
+        rows, accepted = _k4_free_greedy(n, pairs, order)
+    else:
+        rows, accepted = _ffree_greedy(n, value if fgraph is None else fgraph, pairs, order)
     return ProcessTrace(
         seed=seed,
         n=n,
@@ -130,6 +151,76 @@ def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
         accepted=tuple(accepted),
         result=Graph._from_rows_unchecked(n, tuple(rows)),
     )
+
+
+def _ffree_greedy(n: int, f: int | Graph, pairs: tuple[tuple[int, int], ...],
+                  order: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Rows and accepted pairs of the greedy insertion of ``pairs`` in
+    ``order`` that keeps the graph free of F (a K_s order or a pattern
+    graph).  The graph before uv is F-free, so a new copy uses uv: a
+    K_{s-2} in N(u) & N(v), or one containment search anchored on uv."""
+    rows = [0] * n
+    accepted: list[tuple[int, int]] = []
+    for pi in order:
+        u, v = pairs[pi]
+        if isinstance(f, int):
+            if _find_clique(rows, rows[u] & rows[v], f - 2) >= 0:
+                continue
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            if contains_subgraph(Graph._from_rows_unchecked(n, tuple(rows)), f, through=(u, v)):
+                rows[u] &= ~(1 << v)
+                rows[v] &= ~(1 << u)
+                continue
+        accepted.append((u, v))
+    return rows, accepted
+
+
+def _k4_free_greedy(n: int, pairs: tuple[tuple[int, int], ...],
+                    order: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """``_ffree_greedy`` for F = K_4, with one mask lookup per pair.
+
+    ``closed[x]`` has bit y when adding xy would create a K_4, that is
+    when N(x) & N(y) spans an edge; a pair is rejected when either of its
+    two bits is set.  Accepting uv changes the masks as follows, with
+    C = N(u) & N(v) taken before uv is added.  A non-edge xy gains an
+    edge inside its common neighbourhood in only two ways:
+
+    * the edge is uv itself, so x and y both lie in C;
+    * x is u (or v), whose neighbourhood gains v (or u), so y is in N(v)
+      and the edge is v-w for some w in C & N(y): y sees some w in C.
+
+    So each w in C gets ``closed[w] |= C``, and with ``reach`` the union
+    of N(w) over w in C, u gets ``N(v) & reach`` and v ``N(u) & reach``.
+    Adding edges never removes a K_4, so every set bit stays true, and
+    the masks are exact for the non-edges still to come.
+    """
+    rows = [0] * n
+    closed = [0] * n
+    accepted: list[tuple[int, int]] = []
+    for pi in order:
+        u, v = pairs[pi]
+        if closed[u] >> v & 1 or closed[v] >> u & 1:
+            continue
+        ru = rows[u]
+        rv = rows[v]
+        common = m = ru & rv
+        reach = 0
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            closed[w] |= common
+            reach |= rows[w]
+        closed[u] |= rv & reach
+        closed[v] |= ru & reach
+        rows[u] = ru | 1 << v
+        rows[v] = rv | 1 << u
+        accepted.append((u, v))
+    return rows, accepted
 
 
 class TrialStats(NamedTuple):

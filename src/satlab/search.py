@@ -209,7 +209,9 @@ def _ks_saturation_levels(s: int) -> LastLevels:
     a K_{s-1}, no last vertex saturates the graph either.  The state is
     the pattern rules' one with U as ``must``.  On the last level only
     the carried non-edges and those at the new vertex can lack a
-    witness; every other non-edge keeps its parent's witness.
+    witness; every other non-edge keeps its parent's witness.  At s = 3
+    the last vertex itself is the witness of every carried non-edge, so
+    the state carries U alone.
     """
 
     def need(rows: tuple[int, ...], k: int) -> _Carried | None:
@@ -228,7 +230,9 @@ def _ks_saturation_levels(s: int) -> LastLevels:
                         return None
                     u_mask |= 1 << u | low
                     pairs.append((u, low.bit_length() - 1))
-        return None if _find_clique(rows, u_mask, s - 1) >= 0 else _Carried(pairs, u_mask)
+        if _find_clique(rows, u_mask, s - 1) >= 0:
+            return None
+        return _Carried([] if s == 3 else pairs, u_mask)
 
     # need runs ahead of is_canonical: it drops most level n-1 children
     # for less than the canonicity test costs (n=10 K_4, single runs on

@@ -60,7 +60,10 @@ class TestRng:
                 idx = shuffled_pair_indices(n, seed)
                 assert sorted(idx) == list(range(n * (n - 1) // 2))
 
-    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**64 + 5])
+    # 2**64 - gamma makes the first draw's state 0: every lane of the
+    # batched draws must match the scalar generator at the ends of its range
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**64 + 5, 2**63,
+                                      2**64 - 0x9E3779B97F4A7C15])
     def test_shuffle_is_reference_fisher_yates(self, seed):
         for n in (0, 1, 2, 3, 17, 60, 120):
             idx = list(range(n * (n - 1) // 2))
@@ -115,8 +118,10 @@ class TestProcess:
             assert creates_ks(g, u, v, 3)
 
     def test_incremental_matches_pattern_recheck(self):
-        # clique fast path vs whole-graph pattern recheck, n <= 12
-        for n, s, seeds in ((8, 3, range(6)), (12, 4, range(4)), (9, 5, range(4))):
+        # clique fast paths (closed-pair masks for K_4, a clique search
+        # otherwise) vs the anchored pattern test of the same clique
+        for n, s, seeds in ((8, 3, range(6)), (12, 4, range(4)), (9, 5, range(4)),
+                            (30, 4, range(6)), (60, 4, range(3)), (30, 5, range(3))):
             pattern = ("graph", complete_graph(s))
             for seed in seeds:
                 fast = run_ffree_process(n, f"k_{s}", seed)

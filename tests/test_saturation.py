@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import satlab.saturation
 from satlab import (
     Graph,
     InputError,
@@ -29,9 +30,10 @@ from satlab import (
     run_ffree_process,
     star,
 )
+from satlab.graphs import bits_of
 from satlab.saturation import _find_clique
 from satlab.search import saturated_classes
-from conftest import random_tripartite
+from conftest import random_graph, random_tripartite
 from oracles import (
     clique_witness_oracle,
     ks_saturated_oracle,
@@ -51,6 +53,80 @@ class TestFreeness:
 
     def test_ehm_is_free(self):
         assert is_ks_free(ehm_graph(10, 4), 4) == (True, None)
+
+
+def _complete_multipartite(rng, n, parts):
+    """A complete ``parts``-partite graph on n >= parts vertices whose
+    parts are nonempty and shuffled over the labels."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    part = [0] * n
+    for pos, v in enumerate(perm):
+        part[v] = sum(pos >= c for c in cuts)
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
+def _planted_clique(rng, n, s, p):
+    """G(n, p) with a K_s on s random vertices added."""
+    g = random_graph(rng, n, p)
+    clique = rng.sample(range(n), s)
+    return Graph(n, list(g.edges()) + list(combinations(sorted(clique), 2)))
+
+
+class TestColourCertificate:
+    """``is_ks_free`` returns at once when greedy colouring in ascending
+    vertex order fits s-1 classes, and else gives the search's verdict
+    and witness."""
+
+    @pytest.fixture
+    def clique_calls(self, monkeypatch):
+        calls = []
+        original = satlab.saturation._find_clique
+
+        def counted(rows, candidates, size):
+            calls.append(size)
+            return original(rows, candidates, size)
+
+        monkeypatch.setattr(satlab.saturation, "_find_clique", counted)
+        return calls
+
+    def test_complete_multipartite_needs_no_search(self, clique_calls):
+        rng = random.Random(3201)
+        for s in range(3, 7):
+            for _ in range(5):
+                g = _complete_multipartite(rng, rng.randint(30, 60), s - 1)
+                assert is_ks_free(g, s) == (True, None)
+        assert clique_calls == []
+
+    def test_ehm_needs_no_search(self, clique_calls):
+        for s in range(3, 7):
+            for n in (s, 10, 30, 60):
+                assert is_ks_free(ehm_graph(n, s), s) == (True, None)
+        assert clique_calls == []
+
+    @staticmethod
+    def _assert_matches_search(graphs, sizes):
+        for g in graphs:
+            for s in sizes:
+                found = recursive_find_clique(g.rows, g.vertex_mask, s)
+                expected = (True, None) if found < 0 else (False, frozenset(bits_of(found)))
+                assert is_ks_free(g, s) == expected, (g, s)
+
+    def test_matches_search_on_random_graphs(self, small_random_graphs):
+        self._assert_matches_search(small_random_graphs, range(1, 7))
+
+    def test_matches_search_on_tripartite_graphs(self):
+        rng = random.Random(3202)
+        graphs = [random_tripartite(rng, rng.randint(10, 40), rng.choice([0.5, 0.8, 0.95]))
+                  for _ in range(20)]
+        self._assert_matches_search(graphs, range(2, 6))
+
+    def test_matches_search_on_planted_cliques(self):
+        rng = random.Random(3203)
+        graphs = [_planted_clique(rng, rng.randint(10, 40), s, p)
+                  for s in range(3, 7) for p in (0.1, 0.3) for _ in range(3)]
+        self._assert_matches_search(graphs, range(2, 8))
 
 
 class TestCreatesKs:
