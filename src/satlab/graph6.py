@@ -108,29 +108,19 @@ def _decode_n(s: str, base: int) -> tuple[int, int]:
         raise Graph6ParseError(f"byte {s[0]!r} outside graph6 range", base)
     if c0 != 63:
         return c0, 1
-    if len(s) >= 2 and s[1] == "~":
-        if len(s) < 8:
-            raise Graph6ParseError("truncated 8-byte size header", base + len(s))
-        n = 0
-        for k in range(2, 8):
-            v = ord(s[k]) - 63
-            if not 0 <= v <= 63:
-                raise Graph6ParseError(f"byte {s[k]!r} outside graph6 range", base + k)
-            n = n << 6 | v
-        if n <= 258047:
-            raise Graph6ParseError(f"non-canonical long size header for n={n}", base + 2)
-        return n, 8
-    if len(s) < 4:
-        raise Graph6ParseError("truncated 4-byte size header", base + len(s))
+    # "~~" and six bytes for n > 258047, else "~" and three for n > 62
+    start, end, floor = (2, 8, 258047) if s[1:2] == "~" else (1, 4, 62)
+    if len(s) < end:
+        raise Graph6ParseError(f"truncated {end}-byte size header", base + len(s))
     n = 0
-    for k in range(1, 4):
+    for k in range(start, end):
         v = ord(s[k]) - 63
         if not 0 <= v <= 63:
             raise Graph6ParseError(f"byte {s[k]!r} outside graph6 range", base + k)
         n = n << 6 | v
-    if n <= 62:
-        raise Graph6ParseError(f"non-canonical long size header for n={n}", base + 1)
-    return n, 4
+    if n <= floor:
+        raise Graph6ParseError(f"non-canonical long size header for n={n}", base + start)
+    return n, end
 
 
 def read_graph6_lines(lines) -> list[Graph]:

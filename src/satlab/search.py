@@ -11,10 +11,9 @@ prunes the tree when minimizing over F-saturated graphs (an induced
 subgraph of an F-free graph is F-free, so pruning is exact).  A second
 hook, ``LastLevels``, decides saturation on the last two levels, so no
 enumerated graph is tested again: a graph on n-1 vertices is dropped
-when no last vertex can saturate it, else it hands its last level one
-``_Carried`` state, for K_s and any other F alike; a last-level column
-that misses a vertex the last vertex must see is skipped unbuilt, and a
-last-level child is tested on the carried non-edges and its new vertex's
+when no last vertex can saturate it, else it hands its last level the
+list of its carried non-edges, for K_s and any other F alike, and every
+last-level child is tested on those non-edges and its new vertex's
 non-edges only.  A labeled brute-force oracle over all 2^C(n,2) graphs
 provides an independent cross-check at n <= 7.
 """
@@ -75,13 +74,9 @@ def _check_n(n: int, cap: int | None = None, what: str = "", scope: str = "") ->
         raise InputError(f"{what} supports n <= {cap}{scope}, got n={n}")
 
 
-class _Carried(NamedTuple):
-    """What a graph on n-1 vertices hands its last level, for both F
-    kinds: its non-edges with no copy of F through them and the vertices
-    the last vertex must see (U for K_s, 0 for a pattern)."""
-
-    pairs: list[tuple[int, int]]
-    must: int
+#: what a graph on n-1 vertices hands its last level, for both F kinds:
+#: its non-edges with no copy of F through them
+_Pairs = list[tuple[int, int]]
 
 
 class LastLevels(NamedTuple):
@@ -90,15 +85,13 @@ class LastLevels(NamedTuple):
 
     ``need(rows, k)`` sees each child on k = n-1 vertices, ahead of the
     canonicity test when ``need_first`` is set and after it otherwise:
-    None drops the child, a ``_Carried`` state is what its own children
-    read.  On the last level a column is skipped before its child is
-    built unless it contains that state's ``must``;
-    ``complete(rows, n, state)`` sees each child that ``child_keep``
-    builds.
+    None drops the child, a list of carried non-edges (possibly empty)
+    is what its own children read.  ``complete(rows, n, pairs)`` sees
+    every last-level child that ``child_keep`` builds.
     """
 
-    need: Callable[[tuple[int, ...], int], _Carried | None]
-    complete: Callable[[tuple[int, ...], int, _Carried], bool]
+    need: Callable[[tuple[int, ...], int], _Pairs | None]
+    complete: Callable[[tuple[int, ...], int, _Pairs], bool]
     need_first: bool
 
 
@@ -115,9 +108,8 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
     kept) for the stream to cover every class it keeps.  ``last``
     adds the checks of ``LastLevels`` on levels n-1 and n.  When
     ``need`` drops only graphs with no child that ``complete`` accepts,
-    and its state's ``must`` skips only such columns, the stream is the
-    unhooked one filtered by ``complete``, graph by graph and in the same
-    order.
+    the stream is the unhooked one filtered by ``complete``, graph by
+    graph and in the same order.
 
     Depth-first orderly generation.  A child's minimal string is its
     parent's followed by the new vertex's column, so visiting parents in
@@ -137,7 +129,7 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
     if child_keep is None:
         child_keep = _child_rows
 
-    def grow(prows: tuple[int, ...], k: int, last_col: int, state: _Carried) -> Iterator[Graph]:
+    def grow(prows: tuple[int, ...], k: int, last_col: int, pairs: _Pairs) -> Iterator[Graph]:
         if k == n:
             yield Graph._from_rows_unchecked(n, prows)
             return
@@ -146,33 +138,28 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
         ahead = last is not None and k + 2 == n
         early = ahead and last.need_first
         late = ahead and not last.need_first
-        if final:
-            must = state.must
-        cstate = None
+        cpairs = None
         for col in range(last_col << 1, 1 << k):
-            subset = cols[col]
-            if final and subset & must != must:
-                continue
-            child = child_keep(prows, k, subset)
+            child = child_keep(prows, k, cols[col])
             if child is None:
                 continue
             if final:
-                if not last.complete(child, n, state):
+                if not last.complete(child, n, pairs):
                     continue
             elif early:
-                cstate = last.need(child, k + 1)
-                if cstate is None:
+                cpairs = last.need(child, k + 1)
+                if cpairs is None:
                     continue
             ident[k] = col
             if is_canonical(child, k + 1, ident):
                 if late:
-                    cstate = last.need(child, k + 1)
-                    if cstate is None:
+                    cpairs = last.need(child, k + 1)
+                    if cpairs is None:
                         continue
-                yield from grow(child, k + 1, col, cstate)
+                yield from grow(child, k + 1, col, cpairs)
 
-    # only the last level reads a state; K_1 is level n-1 at n = 2
-    root = last.need((0,), 1) if last is not None and n == 2 else _Carried([], 0)
+    # only the last level reads the carried pairs; K_1 is level n-1 at n = 2
+    root = last.need((0,), 1) if last is not None and n == 2 else []
     if root is not None:
         yield from grow((0,), 1, 0, root)  # K_1
 
@@ -206,15 +193,12 @@ def _ks_saturation_levels(s: int) -> LastLevels:
     is carried and the last vertex must be adjacent to both endpoints.
     The endpoints U of all carried non-edges then lie in its
     neighborhood, which ``_keep_ks_free`` keeps K_{s-1}-free: if U spans
-    a K_{s-1}, no last vertex saturates the graph either.  The state is
-    the pattern rules' one with U as ``must``.  On the last level only
-    the carried non-edges and those at the new vertex can lack a
-    witness; every other non-edge keeps its parent's witness.  At s = 3
-    the last vertex itself is the witness of every carried non-edge, so
-    the state carries U alone.
+    a K_{s-1}, no last vertex saturates the graph either.  On the last
+    level only the carried non-edges and those at the new vertex can
+    lack a witness; every other non-edge keeps its parent's witness.
     """
 
-    def need(rows: tuple[int, ...], k: int) -> _Carried | None:
+    def need(rows: tuple[int, ...], k: int) -> _Pairs | None:
         pairs = []
         u_mask = 0
         for u in range(k):
@@ -232,7 +216,7 @@ def _ks_saturation_levels(s: int) -> LastLevels:
                     pairs.append((u, low.bit_length() - 1))
         if _find_clique(rows, u_mask, s - 1) >= 0:
             return None
-        return _Carried([] if s == 3 else pairs, u_mask)
+        return pairs
 
     # need runs ahead of is_canonical: it drops most level n-1 children
     # for less than the canonicity test costs (n=10 K_4, single runs on
@@ -240,14 +224,14 @@ def _ks_saturation_levels(s: int) -> LastLevels:
     return LastLevels(need, _completes(s), need_first=True)
 
 
-def _completes(f: int | Graph) -> Callable[[tuple[int, ...], int, _Carried], bool]:
+def _completes(f: int | Graph) -> Callable[[tuple[int, ...], int, _Pairs], bool]:
     """The one ``complete`` of both F kinds (a K_s order or a pattern
     graph): a last-level child is saturated iff each carried non-edge and
     each non-edge at its new vertex has a copy of F through it."""
 
-    def complete(rows: tuple[int, ...], n: int, state: _Carried) -> bool:
+    def complete(rows: tuple[int, ...], n: int, pairs: _Pairs) -> bool:
         x = n - 1
-        pairs = state.pairs + [(v, x) for v in bits_of(~rows[x] & ((1 << x) - 1))]
+        pairs = pairs + [(v, x) for v in bits_of(~rows[x] & ((1 << x) - 1))]
         return next(_uncompleted_non_edges(rows, n, f, pairs), None) is None
 
     return complete
@@ -278,11 +262,10 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
     2. x adjacent to all of G' only adds copies: when a carried uv has
        no copy through it in G' + uv + x even then, ``need`` drops G'.
 
-    The state's ``must`` is 0, so every last-level column is built.
-    Skipping the columns that miss a radius d-1 ball around a carried
-    pair's ends (d the diameter of F) is exact too, but it skips only
-    children that ``complete`` rejects anyway and costs about what it
-    saves, so there is no such rule.
+    Skipping the last-level columns that miss a radius d-1 ball around
+    a carried pair's ends (d the diameter of F) is exact too, but it
+    skips only children that ``complete`` rejects anyway and costs about
+    what it saves, so there is no such rule.
 
     ``need`` runs after ``is_canonical``: it costs a containment search
     per non-edge, more than the canonicity tests it would save.  n = 8
@@ -293,13 +276,13 @@ def _pattern_saturation_levels(f: Graph) -> LastLevels:
     of three alternated runs of ten, 2.1 GHz Xeon).
     """
 
-    def need(rows: tuple[int, ...], k: int) -> _Carried | None:
+    def need(rows: tuple[int, ...], k: int) -> _Pairs | None:
         carried = list(_uncompleted_non_edges(rows, k, f))
         bit = 1 << k
         universal = tuple(r | bit for r in rows) + (bit - 1,)
         if next(_uncompleted_non_edges(universal, k + 1, f, carried), None) is not None:
             return None
-        return _Carried(carried, 0)
+        return carried
 
     return LastLevels(need, _completes(f), need_first=False)
 

@@ -6,19 +6,23 @@ list search they replaced (``oracles.list_canonical_order`` and
 verdict.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import satlab.search
-from satlab import InputError
+from satlab import InputError, complete_graph, cycle, disjoint_union, petersen
 from satlab.canon import (
     MAX_CANON_VERTICES,
+    are_isomorphic,
+    canonical_graph,
     canonical_order,
     canonical_rows,
     is_canonical,
 )
+from satlab.graphs import Graph
 from oracles import list_canonical_order, list_is_canonical
 
 
@@ -157,3 +161,32 @@ def test_canonical_order_rejects_beyond_cap():
     n = MAX_CANON_VERTICES + 1
     with pytest.raises(InputError):
         canonical_order((0,) * n, n)
+
+
+def test_relabelled_petersen_is_isomorphic():
+    g = petersen()
+    perm = list(range(g.n))
+    random.Random(0).shuffle(perm)
+    h = Graph._from_rows_unchecked(g.n, relabel(g.rows, perm))
+    assert h.rows != g.rows
+    assert are_isomorphic(g, h) and are_isomorphic(h, g)
+
+
+def test_same_degrees_are_not_enough():
+    # C_6 and 2K_3: six vertices, six edges, every degree 2
+    c6, two_k3 = cycle(6), disjoint_union(complete_graph(3), complete_graph(3))
+    assert sorted(c6.degrees()) == sorted(two_k3.degrees())
+    assert not are_isomorphic(c6, two_k3)
+
+
+def test_order_or_size_mismatch_is_not_isomorphic():
+    assert not are_isomorphic(cycle(5), cycle(6))
+    assert not are_isomorphic(cycle(5), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+
+
+@pytest.mark.parametrize("g", [petersen(), cycle(7), Graph(4, [(0, 3), (1, 3)]), Graph(0)],
+                         ids=["petersen", "c_7", "cherry", "empty"])
+def test_canonical_graph_has_canonical_rows(g):
+    c = canonical_graph(g)
+    assert c.n == g.n and c.rows == canonical_rows(g.rows, g.n)
+    assert are_isomorphic(c, g)

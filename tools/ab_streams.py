@@ -1,0 +1,109 @@
+"""In-process A/B timing of ``saturated_stream`` on two satlab trees.
+
+Usage:
+    python tools/ab_streams.py PARENT/src/satlab CHANGE/src/satlab [N:F:ROUNDS ...]
+
+Both package directories are imported into one interpreter, as
+``satlab_parent`` and ``satlab_change``.  Each round of a case runs
+both trees, alternating which tree goes first, and times the full
+stream (``list(saturated_stream(n, F))``).  Both trees must give the
+same (rows, form) list; a round that differs stops the run.
+
+Every round is printed, then per case: each side's median, the parent's
+interquartile range, and the number of rounds the change was faster.
+A case is "ok" when the change's median is lower than the parent's or
+above it by no more than the parent's IQR.  F is a pattern token
+(``k_4``, ``c_5``, ...).  The default cases are the search's K_s range:
+n = 9 K_3/K_4/K_5 for 16 rounds, n = 11 K_3 and n = 10 K_4/K_5 for 8,
+n = 12 K_3 for 4.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+DEFAULT_CASES = ["9:k_3:16", "9:k_4:16", "9:k_5:16", "11:k_3:8", "10:k_4:8",
+                 "10:k_5:8", "12:k_3:4"]
+SIDES = ("parent", "change")
+
+
+def load(package_dir: str, name: str):
+    """Import the satlab package at ``package_dir`` as ``name`` and
+    return its ``saturated_stream`` and ``parse_pattern``."""
+    init = Path(package_dir) / "__init__.py"
+    if not init.is_file():
+        sys.exit(f"{package_dir}: not a package directory (no __init__.py)")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    search = importlib.import_module(f"{name}.search")
+    patterns = importlib.import_module(f"{name}.patterns")
+    return search.saturated_stream, patterns.parse_pattern
+
+
+def timed(stream, parse, n: int, token: str) -> tuple[float, list]:
+    gc.collect()
+    f = parse(token)
+    t0 = time.perf_counter()
+    pairs = list(stream(n, f))
+    elapsed = time.perf_counter() - t0
+    return elapsed, [(g.rows, form) for g, form in pairs]
+
+
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q1, q3
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees = {side: load(path, f"satlab_{side}") for side, path in zip(SIDES, argv[:2])}
+    cases = []
+    for text in argv[2:] or DEFAULT_CASES:
+        n, token, rounds = text.split(":")
+        cases.append((int(n), token, int(rounds)))
+    times = {case: {side: [] for side in SIDES} for case in cases}
+    classes = {}
+    print("case round first parent_s change_s")
+    for case in cases:
+        n, token, rounds = case
+        for r in range(rounds):
+            order = SIDES if r % 2 == 0 else SIDES[::-1]
+            results = {}
+            for side in order:
+                results[side] = timed(*trees[side], n, token)
+            if results["parent"][1] != results["change"][1]:
+                print(f"n={n} {token}: the two streams differ", file=sys.stderr)
+                return 1
+            classes[case] = len(results["parent"][1])
+            for side in SIDES:
+                times[case][side].append(results[side][0])
+            print(f"n={n}:{token} {r + 1} {order[0]} "
+                  f"{results['parent'][0]:.4f} {results['change'][0]:.4f}", flush=True)
+    print()
+    print("case rounds classes parent_med parent_iqr change_med change_wins verdict")
+    for case in cases:
+        n, token, rounds = case
+        pt, ct = times[case]["parent"], times[case]["change"]
+        q1, q3 = quartiles(pt)
+        pmed, cmed = statistics.median(pt), statistics.median(ct)
+        wins = sum(c < p for p, c in zip(pt, ct))
+        verdict = "ok" if cmed <= pmed + (q3 - q1) else "slower"
+        print(f"n={n}:{token} {rounds} {classes[case]} {pmed:.4f} {q3 - q1:.4f} {cmed:.4f} "
+              f"{wins}/{rounds} {verdict}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
