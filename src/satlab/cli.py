@@ -237,10 +237,9 @@ def _cmd_check(args) -> int:
         h = pattern_graph(parse_pattern(args.pattern))
         _check_saturation_pattern(h)
         label, verdict = args.pattern, lambda g: is_h_saturated(g, h)
-    reports = [(g, verdict(g)) for g in _read_graphs(args.input)]
-    for g, rep in reports:
+    for g in _read_graphs(args.input):
         out = {"graph": to_graph6(g), "pattern": label}
-        out.update(_report_json(rep))
+        out.update(_report_json(verdict(g)))
         print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -3,9 +3,12 @@
 Standard encoding: a size header, then the upper triangle of the
 adjacency matrix in column order x(0,1), x(0,2), x(1,2), x(0,3), ...,
 packed into 6-bit groups (most significant bit first), each group offset
-by 63 into printable ASCII.  ``column`` is the one owner of that bit
-order: the encoder, the decoder, ``canon.is_canonical`` and the
-enumeration's column table all go through it.
+by 63 into printable ASCII.  Both directions see the data as one string
+of "0"/"1" characters, through one 64-entry table (``_SIX``) from each
+data byte to its six bits and back.  ``_column_bits`` states the column
+bit order once: the encoder joins its strings, the decoder reads rows
+back out of the same layout, and ``column`` (used by
+``canon.is_canonical`` and the enumeration) is its int form.
 """
 
 from __future__ import annotations
@@ -33,23 +36,29 @@ def _encode_n(n: int) -> str:
     raise InputError(f"n={n} too large for graph6")
 
 
+# each data byte (63 + v) and its six bits, most significant first
+_SIX = {chr(63 + v): format(v, "06b") for v in range(64)}
+_TO_SIX = str.maketrans(_SIX)
+_FROM_SIX = {six: ch for ch, six in _SIX.items()}
+
+
+def _column_bits(row: int, j: int) -> str:
+    """Bits 0..j-1 of ``row`` as graph6 column j: one character per
+    vertex, vertex 0 first.  ``int(bits[::-1], 2)`` reads it back."""
+    return format(row & ((1 << j) - 1), f"0{j}b")[::-1]
+
+
 def column(row: int, j: int) -> int:
     """Bits 0..j-1 of ``row`` as graph6 column j, vertex 0 the most
     significant bit.  Its own inverse: it maps a column back to the row
     bits it came from."""
-    return int(format(row & ((1 << j) - 1), f"0{j}b")[::-1], 2)
+    return int(_column_bits(row, j), 2)
 
 
 def _encode_bits(rows: tuple[int, ...], n: int) -> str:
-    acc = 0
-    for j in range(1, n):
-        acc = acc << j | column(rows[j], j)
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    acc <<= nbytes * 6 - nbits  # zero padding to whole 6-bit groups
-    return "".join(
-        chr((acc >> 6 * k & 63) + 63) for k in range(nbytes - 1, -1, -1)
-    )
+    bits = "".join(map(_column_bits, rows[1:], range(1, n)))
+    bits += "0" * (-len(bits) % 6)  # zero padding to whole 6-bit groups
+    return "".join([_FROM_SIX[bits[k:k + 6]] for k in range(0, len(bits), 6)])
 
 
 def from_graph6(text: str) -> Graph:
@@ -78,27 +87,18 @@ def from_graph6(text: str) -> Graph:
         )
     if len(data) > need:
         raise Graph6ParseError("trailing bytes after graph data", base + pos + need)
-    acc = 0
-    for k, ch in enumerate(data):
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise Graph6ParseError(f"byte {ch!r} outside graph6 range", base + pos + k)
-        acc = acc << 6 | val
-    pad = need * 6 - nbits
-    if acc & ((1 << pad) - 1):
+    bits = data.translate(_TO_SIX)
+    if len(bits) != 6 * need:  # a byte outside the table stays one character
+        k = next(k for k, ch in enumerate(data) if ch not in _SIX)
+        raise Graph6ParseError(f"byte {data[k]!r} outside graph6 range", base + pos + k)
+    if "1" in bits[nbits:]:
         raise Graph6ParseError("nonzero padding bits", base + pos + need - 1)
-    acc >>= pad
-    rows = [0] * n
-    shift = nbits
-    for j in range(1, n):
-        shift -= j
-        low = column(acc >> shift, j)
-        rows[j] |= low
-        bit = 1 << j
-        while low:
-            b = low & -low
-            rows[b.bit_length() - 1] |= bit
-            low ^= b
+    # column j at offset j*n, zero-padded to n bits: vertex i's bit of
+    # column j > i sits at j*n + i, so row i, vertex 0 first, is its own
+    # column followed by the stride-n slice from column i on (bit i is
+    # 0), read back as ``_column_bits`` says
+    padded = "".join([bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)])
+    rows = [int((padded[i * n:i * n + i] + padded[i * n + i::n])[::-1], 2) for i in range(n)]
     return Graph._from_rows_unchecked(n, tuple(rows))
 
 

@@ -158,10 +158,7 @@ def _enumerate(n: int, child_keep: _ChildKeep | None,
                         continue
                 yield from grow(child, k + 1, col, cpairs)
 
-    # only the last level reads the carried pairs; K_1 is level n-1 at n = 2
-    root = last.need((0,), 1) if last is not None and n == 2 else []
-    if root is not None:
-        yield from grow((0,), 1, 0, root)  # K_1
+    yield from grow((0,), 1, 0, [])  # K_1: no non-edge to carry
 
 
 def _child_rows(prows: tuple[int, ...], k: int, subset: int) -> tuple[int, ...]:

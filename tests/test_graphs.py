@@ -244,7 +244,9 @@ class TestGraph6:
     @given(
         st.one_of(graphs(max_n=12), st.integers(63, 64).map(empty_graph)),  # 1- and 4-byte headers
         st.data(),
-        st.one_of(st.integers(0x20, 0x3E), st.integers(0x7F, 0xFF)).map(chr),
+        # code points above 0xFF too, such as "€"
+        st.one_of(st.integers(0x20, 0x3E), st.integers(0x7F, 0xFF),
+                  st.integers(0x100, 0x10FFFF)).map(chr),
     )
     @settings(max_examples=200, deadline=None)
     def test_bad_byte_offset(self, g, data, bad):

@@ -1,0 +1,41 @@
+"""The A/B timing tool in ``tools/``, loaded by path."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_streams.py"
+PACKAGE = TOOL.parent.parent / "src" / "satlab"
+
+
+@pytest.fixture(scope="module")
+def ab_streams():
+    spec = importlib.util.spec_from_file_location("ab_streams", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("text,case", [
+    ("9:g6:C`:2", (9, "g6:C`", 2)),
+    ("11:k_3:8", (11, "k_3", 8)),
+    ("8:g6:C`:4", (8, "g6:C`", 4)),
+])
+def test_parse_case(ab_streams, text, case):
+    assert ab_streams.parse_case(text) == case
+
+
+def test_main_runs_a_g6_case(ab_streams, capsys):
+    # both sides import this checkout's package; the streams must agree
+    try:
+        assert ab_streams.main([str(PACKAGE), str(PACKAGE), "6:g6:C`:2"]) == 0
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in ("satlab_parent", "satlab_change")]:
+            del sys.modules[name]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "case round first parent_s change_s"
+    assert [line.split()[:3] for line in out[1:3]] == [["n=6:g6:C`", "1", "parent"],
+                                                        ["n=6:g6:C`", "2", "change"]]
+    assert out[-1].startswith("n=6:g6:C` 2 ")

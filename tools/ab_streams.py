@@ -13,9 +13,9 @@ Every round is printed, then per case: each side's median, the parent's
 interquartile range, and the number of rounds the change was faster.
 A case is "ok" when the change's median is lower than the parent's or
 above it by no more than the parent's IQR.  F is a pattern token
-(``k_4``, ``c_5``, ...).  The default cases are the search's K_s range:
-n = 9 K_3/K_4/K_5 for 16 rounds, n = 11 K_3 and n = 10 K_4/K_5 for 8,
-n = 12 K_3 for 4.  Standard library only.
+(``k_4``, ``c_5``, a ``g6:`` line, ...).  The default cases are the
+search's K_s range: n = 9 K_3/K_4/K_5 for 16 rounds, n = 11 K_3 and
+n = 10 K_4/K_5 for 8, n = 12 K_3 for 4.  Standard library only.
 """
 
 from __future__ import annotations
@@ -64,15 +64,21 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def parse_case(text: str) -> tuple[int, str, int]:
+    """``N:F:ROUNDS`` as (n, F, rounds).  A ``g6:`` token holds a colon
+    itself, so n ends at the first colon and the rounds start after the
+    last one."""
+    n, rest = text.split(":", 1)
+    token, rounds = rest.rsplit(":", 1)
+    return int(n), token, int(rounds)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
     trees = {side: load(path, f"satlab_{side}") for side, path in zip(SIDES, argv[:2])}
-    cases = []
-    for text in argv[2:] or DEFAULT_CASES:
-        n, token, rounds = text.split(":")
-        cases.append((int(n), token, int(rounds)))
+    cases = [parse_case(text) for text in argv[2:] or DEFAULT_CASES]
     times = {case: {side: [] for side in SIDES} for case in cases}
     classes = {}
     print("case round first parent_s change_s")
