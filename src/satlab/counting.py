@@ -210,76 +210,49 @@ def _rooted(f: Graph, roots: tuple[int, ...] = ()) -> _Order:
     ))
 
 
-def _injections(g: Graph, rooted: _Order, count_all: bool,
-                image: list[int] | None = None) -> int:
-    """Count injective maps f -> g sending edges to edges (0/1 if not
-    count_all, for an early-exit search).
-
-    ``image`` (f.n slots) receives image[i] = g-vertex for pattern vertex
-    order[i]; after a hit with count_all false it holds the first map
-    found, candidates tried in ascending vertex order.  The last
-    position is decided by its candidate mask alone: the count is its
-    size, and a witness takes its lowest vertex.
-    """
-    order, back = rooted
-    n = len(order)
-    if n > g.n:
-        return 0
-    if n == 0:
-        return 1
-    if image is None:
-        image = [0] * n
-    gfull = g.vertex_mask
-    grows = g.rows
-    last = n - 1
-
-    def rec(i: int, used: int) -> int:
-        cand = gfull & ~used
-        for j in back[i]:
-            cand &= grows[image[j]]
-        if i == last:
-            if count_all:
-                return cand.bit_count()
-            if cand:
-                image[i] = (cand & -cand).bit_length() - 1
-                return 1
-            return 0
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            image[i] = low.bit_length() - 1
-            got = rec(i + 1, used | low)
-            if got:
-                if not count_all:
-                    return 1
-                total += got
-        return total
-
-    return rec(0, 0)
-
-
 def _extends(rows: tuple[int, ...], free: int, back: tuple[tuple[int, ...], ...],
              image: list[int], i: int) -> bool:
     """True iff a map of positions 0..i-1 of a rooted order extends to
-    all of it: ``image[j]`` holds the host row of position j's image,
-    and the later positions take distinct vertices of ``free``, each
-    adjacent to the images of its ``back`` positions.  The anchored
-    containment kernel: everything it reads comes in as an argument.
-    The last position is decided by its candidate mask alone."""
+    all of it: ``image[j]`` holds the host vertex of position j, and the
+    later positions take distinct vertices of ``free``, each adjacent to
+    the images of its ``back`` positions.  The one existence kernel:
+    everything it reads comes in as an argument.  Candidates are tried
+    in ascending vertex order and the last position takes its lowest
+    one, so after a hit ``image`` holds the first map found."""
     cand = free
     for j in back[i]:
-        cand &= image[j]
-    i += 1
-    if i == len(back):
-        return cand != 0
+        cand &= rows[image[j]]
+    if i + 1 == len(back):
+        if cand:
+            image[i] = (cand & -cand).bit_length() - 1
+            return True
+        return False
     while cand:
         low = cand & -cand
         cand ^= low
-        image[i - 1] = rows[low.bit_length() - 1]
-        if _extends(rows, free ^ low, back, image, i):
+        image[i] = low.bit_length() - 1
+        if _extends(rows, free ^ low, back, image, i + 1):
             return True
     return False
+
+
+def _count(rows: tuple[int, ...], free: int, back: tuple[tuple[int, ...], ...],
+           image: list[int], i: int) -> int:
+    """Number of extensions of a map of positions 0..i-1 to all of a
+    rooted order, in ``_extends``'s layout; the last position counts
+    its candidate mask."""
+    cand = free
+    for j in back[i]:
+        cand &= rows[image[j]]
+    if i + 1 == len(back):
+        return cand.bit_count()
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        image[i] = low.bit_length() - 1
+        total += _count(rows, free ^ low, back, image, i + 1)
+    return total
 
 
 #: the slots behind two anchors in ``_extends``'s image list, enough
@@ -298,13 +271,14 @@ class _Plan:
     def __init__(self, f: Graph):
         self.f = f
         self.full = _rooted(f)
-        self._aut = 0
+        self._aut = 0 if f.n else 1
         self._anchored: dict[int, tuple[_Order, ...]] = {}
 
     @property
     def aut(self) -> int:
         if not self._aut:
-            self._aut = _injections(self.f, self.full, count_all=True)
+            f = self.f
+            self._aut = _count(f.rows, f.vertex_mask, self.full.back, [0] * f.n, 0)
         return self._aut
 
     def anchored(self, k: int) -> tuple[_Order, ...]:
@@ -328,7 +302,7 @@ class _Plan:
                 for c in tuples:
                     if c not in seen and (f.n == k or _extends(
                         rows, f.vertex_mask ^ mask_of(c), rooted.back,
-                        [rows[x] for x in c] + [0] * (f.n - k), k,
+                        list(c) + [0] * (f.n - k), k,
                     )):
                         seen.add(c)
             reps = self._anchored[k] = tuple(found)
@@ -367,7 +341,7 @@ def count_embeddings(g: Graph, f: Graph) -> int:
     plan = _plan(f.rows)
     if f.n == 0:
         return 1
-    total = _injections(g, plan.full, count_all=True)
+    total = _count(g.rows, g.vertex_mask, plan.full.back, [0] * f.n, 0)
     assert total % plan.aut == 0
     return total // plan.aut
 
@@ -385,16 +359,15 @@ def contains_subgraph(g: Graph, f: Graph, through: tuple[int, ...] = ()) -> bool
     plan = _plan(f.rows)
     k = len(through)
     if k == 0:
-        return f.n == 0 or bool(_injections(g, plan.full, count_all=False))
+        return f.n == 0 or _extends(g.rows, g.vertex_mask, plan.full.back, [0] * f.n, 0)
     n = g.n
     u, v = through[0], through[-1]  # u == v for one anchor
     if k > 2 or not (0 <= u < n and 0 <= v < n) or k == 2 and u == v:
         raise InputError(f"through must be 0, 1 or 2 distinct vertices of g, got {through!r}")
     rows = g.rows
-    ru = rows[u]
-    if k == 2 and not ru >> v & 1 or f.n > n:
+    if k == 2 and not rows[u] >> v & 1 or f.n > n:
         return False
-    image = [ru, rows[v], *_SLOTS]
+    image = [u, v, *_SLOTS]
     free = ((1 << n) - 1) ^ (1 << u | 1 << v)
     for _, back in plan.anchored(k):
         if len(back) == k or _extends(rows, free, back, image, k):
@@ -406,6 +379,6 @@ def find_subgraph(g: Graph, f: Graph) -> frozenset[int] | None:
     """Vertex set of one copy of ``f`` in ``g`` (f.n <= 8), or None."""
     plan = _plan(f.rows)
     image = [0] * f.n
-    if _injections(g, plan.full, count_all=False, image=image):
+    if f.n == 0 or _extends(g.rows, g.vertex_mask, plan.full.back, image, 0):
         return frozenset(image)
     return None

@@ -18,11 +18,11 @@ PatternSpec = tuple
 
 
 def parse_pattern(text: str) -> PatternSpec:
-    """Parse a pattern token."""
-    if text.startswith("g6:"):
-        return ("graph", from_graph6(text[3:]))
+    """Parse a pattern token; a malformed one raises ``InputError``."""
     parts = text.split("_")
     try:
+        if text.startswith("g6:"):
+            return ("graph", from_graph6(text[3:]))
         if parts[0] == "k" and len(parts) == 2:
             s = int(parts[1])
             if s < 1:

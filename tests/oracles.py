@@ -9,8 +9,8 @@ generation replaced, graph by graph; ``list_canonical_order`` and
 ``list_is_canonical``, the canonical search over per-vertex column lists
 that the bitmask-cell search replaced, order by order and verdict by
 verdict; ``find_subgraph_oracle``, the embedding search that
-``find_subgraph`` replaced with a first-hit ``_injections`` call,
-witness by witness; ``filter_then_test_stream``, the saturated K_s
+``find_subgraph`` replaced with a first-hit search of the existence
+kernel ``_extends``, witness by witness; ``filter_then_test_stream``, the saturated K_s
 stream as it was before the search decided saturation on its last two
 levels, pair by pair and in order; ``unanchored_ffree_process``,
 ``unanchored_is_h_saturated``, ``unanchored_keep_pattern_free`` and

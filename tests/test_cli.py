@@ -248,11 +248,17 @@ class TestFlagsBeforeInput:
         (("count", "--pattern", "cycle", "--r", "9"),
          "--r 9: bad pattern 'c_9': cycle length must be in 3..8"),
         (("count", "--pattern", "embed", "--g6", "H??????"), "beyond the 8 cap"),
+        (("search", "--n", "4", "--h", "k_2", "--f", "g6:"),
+         "bad pattern 'g6:': empty graph6 string"),
+        (("check", "--sat", "pattern", "--pattern", "g6:Bx"),
+         "bad pattern 'g6:Bx': nonzero padding bits"),
+        (("count", "--pattern", "embed", "--g6", "Bx"), "bad --g6 'Bx': nonzero padding bits"),
     ], ids=["check_ks_no_s", "check_no_pattern", "check_bad_pattern", "check_edgeless",
             "count_star", "count_kab", "count_clique", "count_cycle", "count_embed",
             "search_bad_h", "search_bad_f", "search_edgeless_f", "search_negative_n",
             "check_ks_s0", "count_star_t0", "count_clique_r0", "count_cycle_r2",
-            "count_cycle_r9", "count_embed_9_vertices"])
+            "count_cycle_r9", "count_embed_9_vertices", "search_empty_g6_f",
+            "check_bad_g6_pattern", "count_bad_g6"])
     def test_usage_error_before_missing_input(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "-i", "/nonexistent.g6")
         assert code == 2 and out == ""
@@ -295,10 +301,21 @@ class TestProcess:
         assert dump.read_text() == "".join(
             run_ffree_process(12, "k_4", 11 + i).to_json() + "\n" for i in range(6)
         )
-        assert out == estimate_expected_count(12, "k_4", "k_3", 6, 11).to_json() + "\n"
+        stats = estimate_expected_count(12, "k_4", "k_3", 6, 11).to_json() + "\n"
+        assert out == stats
+        # the same loop without --dump-traces: the same runs and the same stats
+        calls.clear()
+        code, out, _ = run(
+            capsys,
+            "process", "--n", "12", "--s", "4", "--seed", "11", "--trials", "6",
+            "--count", "k_3",
+        )
+        assert code == 0 and out == stats
+        assert calls == [(12, "k_4", 11 + i) for i in range(6)]
 
     def test_bad_dump_arguments_create_no_file(self, capsys, tmp_path):
-        bad = (("--trials", "0"), ("--count", "bogus"), ("--s", "2"), ("--n", "-1"))
+        bad = (("--trials", "0"), ("--count", "bogus"), ("--count", "g6:Bx"), ("--s", "2"),
+               ("--n", "-1"))
         for flag, value in bad:
             argv = {"--n": "8", "--s": "3", "--seed": "1", "--trials": "3"}
             argv[flag] = value

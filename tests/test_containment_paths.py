@@ -2,8 +2,11 @@
 ``contains_subgraph`` binding.
 
 ``perfbench/tracer.py`` times containment by wrapping those module
-bindings; a path that reached the anchored kernel any other way would
+bindings; a path that reached the anchored search any other way would
 zero the traced ``counting.contains.*`` metrics while the work went on.
+Every anchored search asks ``counting._Plan.anchored`` for its orbit
+orders, so the guard sits there: the kernel itself also serves
+``find_subgraph``, which no binding covers.
 """
 
 import pytest
@@ -16,8 +19,8 @@ MODULES = (search, saturation, process)
 
 @pytest.fixture
 def binding_calls(monkeypatch):
-    """Per-module call counts of the wrapped bindings; the anchored
-    kernel fails the test when entered outside one of them."""
+    """Per-module call counts of the wrapped bindings; an anchored
+    search fails the test when started outside one of them."""
     calls = {}
     depth = [0]
     for module in MODULES:
@@ -30,13 +33,13 @@ def binding_calls(monkeypatch):
                 depth[0] -= 1
 
         monkeypatch.setattr(module, "contains_subgraph", counted)
-    real_extends = counting._extends
+    real_anchored = counting._Plan.anchored
 
-    def extends(*args):
-        assert depth[0], "anchored kernel entered outside a contains_subgraph binding"
-        return real_extends(*args)
+    def anchored(plan, k):
+        assert depth[0], "anchored search started outside a contains_subgraph binding"
+        return real_anchored(plan, k)
 
-    monkeypatch.setattr(counting, "_extends", extends)
+    monkeypatch.setattr(counting._Plan, "anchored", anchored)
     return calls
 
 

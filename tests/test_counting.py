@@ -247,9 +247,15 @@ class TestEmbeddings:
         assert hits > 100  # most cases find a copy, so witnesses are compared
 
     def test_find_subgraph_pattern_larger_than_host(self):
-        g, f = complete_graph(4), path(5)
-        assert find_subgraph(g, f) is None
-        assert find_subgraph_oracle(g, f) is None
+        # no early exit: the unanchored kernels decide these by searching
+        cases = [(complete_graph(4), path(5)), (complete_graph(2), path(3)),
+                 (complete_graph(3), cycle(4)), (complete_graph(5), complete_bipartite(2, 4))]
+        for g, f in cases:
+            assert find_subgraph(g, f) is None
+            assert find_subgraph_oracle(g, f) is None
+            assert count_embeddings(g, f) == 0
+            assert not contains_subgraph(g, f)
+            assert not contains_subgraph(g, f, through=(0, 1))
 
 
 class TestMonotonicityLemmas:
@@ -437,18 +443,19 @@ class TestAnchoredContainment:
 
     def test_plan_built_once_per_pattern(self, small_random_graphs, monkeypatch):
         orders, searches = [], []
-        real_order, real_injections = counting._embedding_order, counting._injections
+        real_order, real_count = counting._embedding_order, counting._count
 
         def order(f, roots=()):
             orders.append(roots)
             return real_order(f, roots)
 
-        def injections(*args, **kwargs):
-            searches.append(args[0])
-            return real_injections(*args, **kwargs)
+        def count(rows, free, back, image, i):
+            if i == 0:  # a search, not one of its recursive steps
+                searches.append(rows)
+            return real_count(rows, free, back, image, i)
 
         monkeypatch.setattr(counting, "_embedding_order", order)
-        monkeypatch.setattr(counting, "_injections", injections)
+        monkeypatch.setattr(counting, "_count", count)
         counting._plan.cache_clear()
         graphs = small_random_graphs[:10]
         for g in graphs:
@@ -458,4 +465,4 @@ class TestAnchoredContainment:
         assert orders == [()]
         # one search per host graph, and one for |Aut(C_6)|
         assert len(searches) == len(graphs) + 1
-        assert searches.count(cycle(6)) == 1
+        assert searches.count(cycle(6).rows) == 1

@@ -15,7 +15,9 @@ A case is "ok" when the change's median is lower than the parent's or
 above it by no more than the parent's IQR.  F is a pattern token
 (``k_4``, ``c_5``, a ``g6:`` line, ...).  The default cases are the
 search's K_s range: n = 9 K_3/K_4/K_5 for 16 rounds, n = 11 K_3 and
-n = 10 K_4/K_5 for 8, n = 12 K_3 for 4.  Standard library only.
+n = 10 K_4/K_5 for 8, n = 12 K_3 for 4; then pattern searches at the
+n = 9 cap, which prune by subgraph containment: C_4 for 8 rounds, C_5
+for 6 and K_{2,3} for 4.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from pathlib import Path
 
 DEFAULT_CASES = ["9:k_3:16", "9:k_4:16", "9:k_5:16", "11:k_3:8", "10:k_4:8",
-                 "10:k_5:8", "12:k_3:4"]
+                 "10:k_5:8", "12:k_3:4", "9:c_4:8", "9:c_5:6", "9:k_2_3:4"]
 SIDES = ("parent", "change")
 
 
