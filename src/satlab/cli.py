@@ -20,7 +20,7 @@ from .canon import canonical_form
 from .counting import BipartitePattern, check_pattern_size, count_cliques, count_cycles
 from .counting import count_embeddings, count_k4_minus, count_kab, count_stars
 from .errors import EmptyDomainError, Graph6ParseError, InputError, SatlabError
-from .graph6 import from_graph6, read_graph6_lines, to_graph6
+from .graph6 import _graph6_lines, from_graph6, to_graph6
 from .graphs import Graph
 from .patterns import parse_pattern, pattern_graph
 from .process import TrialStats, run_ffree_process
@@ -127,16 +127,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_graphs(path: str | None) -> list[Graph]:
+def _read_graphs(path: str | None) -> list[tuple[str, Graph]]:
+    """(text to print, graph) per input line; all are decoded before any prints."""
     if path is None:
         lines = sys.stdin.read().splitlines()
     else:
         with open(path, "r", encoding="ascii") as f:
             lines = f.read().splitlines()
-    graphs = read_graph6_lines(lines)
+    graphs = [(text, from_graph6(line)) for line, text in _graph6_lines(lines)]
     if not graphs:
         raise InputError("no graphs in input")
     return graphs
+
+
+def _print_per_graph(path: str | None, label: str, fields) -> int:
+    for text, g in _read_graphs(path):
+        print(json.dumps({"graph": text, "pattern": label, **fields(g)}, sort_keys=True))
+    return 0
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -194,15 +201,7 @@ def _cmd_count(args) -> int:
     if args.pattern in ("star", "clique", "cycle"):
         name = "t" if args.pattern == "star" else "r"
         _check_range(name, getattr(args, name), label)
-
-    for g in _read_graphs(args.input):
-        print(
-            json.dumps(
-                {"graph": to_graph6(g), "pattern": label, "count": counter(g)},
-                sort_keys=True,
-            )
-        )
-    return 0
+    return _print_per_graph(args.input, label, lambda g: {"count": counter(g)})
 
 
 def _check_range(name: str, value: int, label: str) -> None:
@@ -241,11 +240,7 @@ def _cmd_check(args) -> int:
         h = pattern_graph(parse_pattern(args.pattern))
         _check_saturation_pattern(h)
         label, verdict = args.pattern, lambda g: is_h_saturated(g, h)
-    for g in _read_graphs(args.input):
-        out = {"graph": to_graph6(g), "pattern": label}
-        out.update(_report_json(verdict(g)))
-        print(json.dumps(out, sort_keys=True))
-    return 0
+    return _print_per_graph(args.input, label, lambda g: _report_json(verdict(g)))
 
 
 def _cmd_search(args) -> int:
@@ -264,7 +259,7 @@ def _cmd_search(args) -> int:
         except ValueError as exc:
             raise InputError(f"bad --shard {args.shard!r}; expected i/k") from exc
     # read on first use, after the search has checked every argument
-    source = chain.from_iterable(map(_read_graphs, [args.input])) if args.input else None
+    source = (g for path in [args.input] for _, g in _read_graphs(path)) if args.input else None
     record = min_count_over_saturated(
         args.n, args.h, f, shard=shard, source=source, max_extremal=args.max_extremal
     )

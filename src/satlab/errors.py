@@ -18,7 +18,7 @@ class Graph6ParseError(SatlabError, ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 class PreconditionError(SatlabError):

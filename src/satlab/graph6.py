@@ -123,15 +123,17 @@ def _decode_n(s: str, base: int) -> tuple[int, int]:
     return n, end
 
 
-def read_graph6_lines(lines) -> list[Graph]:
-    """Parse an iterable of graph6 lines.
-
-    Surrounding whitespace (a CRLF line ending included) is stripped and
-    blank lines are skipped; a malformed line raises its parse error.
-    """
-    out = []
+def _graph6_lines(lines):
+    """Each non-blank line stripped, and the text to print for it: the line without its
+    ``>>graph6<<`` header.  ``from_graph6`` rejects non-canonical size headers, nonzero
+    padding and trailing bytes, so that text is ``to_graph6`` of every line it accepts."""
     for line in lines:
         line = line.strip()
         if line:
-            out.append(from_graph6(line))
-    return out
+            yield line, line.removeprefix(_HEADER)
+
+
+def read_graph6_lines(lines) -> list[Graph]:
+    """Parse each non-blank line, stripped of surrounding whitespace (a
+    CRLF line ending included); a malformed line raises its parse error."""
+    return [from_graph6(line) for line, _ in _graph6_lines(lines)]

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from .counting import MAX_PATTERN_VERTICES, BipartitePattern
-from .errors import InputError
+from .errors import Graph6ParseError, InputError
 from .graph6 import from_graph6, to_graph6
 from .graphs import Graph
 
@@ -37,6 +37,9 @@ def parse_pattern(text: str) -> PatternSpec:
                     f"cycle length must be in 3..{MAX_PATTERN_VERTICES}, got {text!r}"
                 )
             return ("cycle", r)
+    except Graph6ParseError as exc:  # its offset counted within the quoted token
+        shifted = Graph6ParseError(exc.message, exc.offset + len("g6:"))
+        raise InputError(f"bad pattern {text!r}: {shifted}") from exc
     except ValueError as exc:
         raise InputError(f"bad pattern {text!r}: {exc}") from exc
     raise InputError(

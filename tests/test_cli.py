@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from math import comb
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from satlab import (
     to_graph6,
 )
 from satlab.cli import main
+from conftest import random_graph
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
@@ -118,6 +120,50 @@ class TestCheck:
         code, out, err = run(capsys, "check", *flags, "-i", str(src))
         assert code == 2 and out == ""
         assert message in err
+
+
+def _mixed_form_lines() -> list[str]:
+    """Seeded graphs on 0..64 vertices (both size-header lengths), each
+    line bare, with a ``>>graph6<<`` header, with CRLF or inside spaces,
+    with blank lines between."""
+    rng = random.Random(23)
+    forms = ("{}", ">>graph6<<{}", "{}\r", "  {} \t", ">>graph6<<{}\r")
+    lines = []
+    for k, n in enumerate((0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 62, 63, 64, 7, 40)):
+        lines.append(forms[k % 5].format(to_graph6(random_graph(rng, n, rng.random()))))
+        if k % 3 == 0:
+            lines += ["", "   "]
+    return lines
+
+
+class TestEcho:
+    """``check`` and ``count`` print each input line as read, without its
+    header or surrounding whitespace, and re-encode nothing: stdout is
+    the bytes the decode-then-encode CLI printed, pinned by sha256."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("check", "--sat", "ks", "--s", "4"),
+         "8bbaffb547543bc362229fe85038c9a3941d2ec79f6f635505c600a9e6e0e553"),
+        (("check", "--sat", "pattern", "--pattern", "c_4"),
+         "625a40972628507145e1e66927bd9a3ed8bf20cb9ce0a2cddf746d95f65ccfc6"),
+        (("count", "--pattern", "kab", "--a", "2", "--b", "2"),
+         "b728369236780fcf3bd730d6f5a9a5a0dde0b3e2a27126395f8144107a1b7527"),
+        (("count", "--pattern", "embed", "--g6", "Bw"),
+         "c256106464fbe213a9cee7841f05452f36913ff9ffc38140e37eb1d66aef5486"),
+    ], ids=["check_ks4", "check_c4", "count_k22", "count_embed"])
+    def test_mixed_forms_print_as_read(self, capsys, tmp_path, monkeypatch, argv, digest):
+        def no_encode(g):
+            raise AssertionError("re-encoded an input graph")
+
+        monkeypatch.setattr(satlab.cli, "to_graph6", no_encode)
+        lines = _mixed_form_lines()
+        src = tmp_path / "mixed.g6"
+        src.write_text("\n".join(lines) + "\n", newline="")
+        code, out, _ = run(capsys, *argv, "-i", str(src))
+        assert code == 0
+        assert [json.loads(row)["graph"] for row in out.splitlines()] == [
+            line.strip().removeprefix(">>graph6<<") for line in lines if line.strip()]
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestSearch:
@@ -249,16 +295,20 @@ class TestFlagsBeforeInput:
          "--r 9: bad pattern 'c_9': cycle length must be in 3..8"),
         (("count", "--pattern", "embed", "--g6", "H??????"), "beyond the 8 cap"),
         (("search", "--n", "4", "--h", "k_2", "--f", "g6:"),
-         "bad pattern 'g6:': empty graph6 string"),
+         "bad pattern 'g6:': empty graph6 string (at byte offset 3)"),
+        # a g6: token's offset counts within the token; --g6 quotes the bare value
         (("check", "--sat", "pattern", "--pattern", "g6:Bx"),
-         "bad pattern 'g6:Bx': nonzero padding bits"),
-        (("count", "--pattern", "embed", "--g6", "Bx"), "bad --g6 'Bx': nonzero padding bits"),
+         "bad pattern 'g6:Bx': nonzero padding bits (at byte offset 4)"),
+        (("check", "--sat", "pattern", "--pattern", "g6:>>graph6<<Bx"),
+         "bad pattern 'g6:>>graph6<<Bx': nonzero padding bits (at byte offset 14)"),
+        (("count", "--pattern", "embed", "--g6", "Bx"),
+         "bad --g6 'Bx': nonzero padding bits (at byte offset 1)"),
     ], ids=["check_ks_no_s", "check_no_pattern", "check_bad_pattern", "check_edgeless",
             "count_star", "count_kab", "count_clique", "count_cycle", "count_embed",
             "search_bad_h", "search_bad_f", "search_edgeless_f", "search_negative_n",
             "check_ks_s0", "count_star_t0", "count_clique_r0", "count_cycle_r2",
             "count_cycle_r9", "count_embed_9_vertices", "search_empty_g6_f",
-            "check_bad_g6_pattern", "count_bad_g6"])
+            "check_bad_g6_pattern", "check_bad_g6_header_pattern", "count_bad_g6"])
     def test_usage_error_before_missing_input(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "-i", "/nonexistent.g6")
         assert code == 2 and out == ""

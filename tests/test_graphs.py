@@ -27,7 +27,7 @@ from satlab import (
     star,
     to_graph6,
 )
-from satlab.graph6 import column
+from satlab.graph6 import _graph6_lines, column
 from conftest import random_graph
 from oracles import brute_canonical_form, graph6_decode_oracle
 
@@ -255,6 +255,20 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError) as err:
             from_graph6(text[:k] + bad + text[k + 1:])
         assert err.value.offset == k
+
+    @given(st.integers(0, 64), st.floats(0, 1), st.randoms(use_true_random=False))
+    @example(63, 0.5, random.Random(0))  # the 4-byte size header
+    @example(64, 0.5, random.Random(0))
+    @settings(max_examples=150, deadline=None)
+    def test_printed_text_is_the_reencoding(self, n, p, rng):
+        # the text check and count print for a line, in every line form
+        bare = to_graph6(random_graph(rng, n, p))
+        lines = ["", bare, ">>graph6<<" + bare, bare + "\r\n", "  " + bare + " \t",
+                 ">>graph6<<" + bare + "\r\n", "   "]
+        pairs = list(_graph6_lines(lines))
+        assert [line for line, _ in pairs] == [line.strip() for line in lines if line.strip()]
+        for line, text in pairs:
+            assert text == to_graph6(from_graph6(line))
 
     def test_read_lines_skips_blanks_and_strips(self):
         lines = ["", "  " + to_graph6(cycle(5)) + "  ", "\r\n", to_graph6(path(3)) + "\r\n", "   "]

@@ -22,20 +22,37 @@ def ab_streams():
     ("9:g6:C`:2", (9, "g6:C`", 2)),
     ("11:k_3:8", (11, "k_3", 8)),
     ("8:g6:C`:4", (8, "g6:C`", 4)),
+    ("cli:3:check --sat ks --s 4 -i g.g6", ("cli", ("check", "--sat", "ks", "--s", "4",
+                                                     "-i", "g.g6"), 3)),
 ])
 def test_parse_case(ab_streams, text, case):
     assert ab_streams.parse_case(text) == case
 
 
-def test_main_runs_a_g6_case(ab_streams, capsys):
-    # both sides import this checkout's package; the streams must agree
+def _main(ab_streams, case: str) -> int:
+    # both sides import this checkout's package; their outputs must agree
     try:
-        assert ab_streams.main([str(PACKAGE), str(PACKAGE), "6:g6:C`:2"]) == 0
+        return ab_streams.main([str(PACKAGE), str(PACKAGE), case])
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in ("satlab_parent", "satlab_change")]:
             del sys.modules[name]
+
+
+def test_main_runs_a_g6_case(ab_streams, capsys):
+    assert _main(ab_streams, "6:g6:C`:2") == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "case round first parent_s change_s"
     assert [line.split()[:3] for line in out[1:3]] == [["n=6:g6:C`", "1", "parent"],
                                                         ["n=6:g6:C`", "2", "change"]]
     assert out[-1].startswith("n=6:g6:C` 2 ")
+
+
+def test_main_runs_a_cli_case(ab_streams, capsys, tmp_path):
+    src = tmp_path / "g.g6"
+    src.write_text("Bw\n>>graph6<<DQc\r\n")
+    assert _main(ab_streams, f"cli:2:count --pattern star --t 2 -i {src}") == 0
+    out = capsys.readouterr().out.splitlines()
+    label = f"cli:count --pattern star --t 2 -i {src}"
+    assert [line.removeprefix(label).split()[:2] for line in out[1:3]] == [["1", "parent"],
+                                                                          ["2", "change"]]
+    assert out[-1].startswith(f"{label} 2 2 ")  # two rounds, two stdout lines

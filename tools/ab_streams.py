@@ -1,15 +1,22 @@
-"""In-process A/B timing of ``saturated_stream`` on two satlab trees.
+"""In-process A/B timing of ``saturated_stream``, or of a CLI command,
+on two satlab trees.
 
 Usage:
-    python tools/ab_streams.py PARENT/src/satlab CHANGE/src/satlab [N:F:ROUNDS ...]
+    python tools/ab_streams.py PARENT/src/satlab CHANGE/src/satlab \
+        [N:F:ROUNDS | cli:ROUNDS:ARGV ...]
 
 Both package directories are imported into one interpreter, as
 ``satlab_parent`` and ``satlab_change``.  Each round of a case runs
-both trees, alternating which tree goes first, and times the full
-stream (``list(saturated_stream(n, F))``).  Both trees must give the
-same (rows, form) list; a round that differs stops the run.
+both trees, alternating which tree goes first.  A stream case
+``N:F:ROUNDS`` times the full stream (``list(saturated_stream(n, F))``),
+and both trees must give the same (rows, form) list.  A CLI case
+``cli:ROUNDS:ARGV`` times ``satlab.cli.main(ARGV)`` with stdout
+captured, ARGV split on spaces (give the input with ``-i FILE``), and
+both trees must give the same stdout and exit code.  A round that
+differs stops the run.
 
-Every round is printed, then per case: each side's median, the parent's
+Every round is printed, then per case: its outputs (the stream's
+classes, or the CLI's stdout lines), each side's median, the parent's
 interquartile range, and the number of rounds the change was faster.
 A case is "ok" when the change's median is lower than the parent's or
 above it by no more than the parent's IQR.  F is a pattern token
@@ -24,9 +31,11 @@ from __future__ import annotations
 
 import gc
 import importlib.util
+import io
 import statistics
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 DEFAULT_CASES = ["9:k_3:16", "9:k_4:16", "9:k_5:16", "11:k_3:8", "10:k_4:8",
@@ -35,8 +44,8 @@ SIDES = ("parent", "change")
 
 
 def load(package_dir: str, name: str):
-    """Import the satlab package at ``package_dir`` as ``name`` and
-    return its ``saturated_stream`` and ``parse_pattern``."""
+    """Import the satlab package at ``package_dir`` as ``name``, with its
+    ``search``, ``patterns`` and ``cli`` modules, and return it."""
     init = Path(package_dir) / "__init__.py"
     if not init.is_file():
         sys.exit(f"{package_dir}: not a package directory (no __init__.py)")
@@ -45,18 +54,28 @@ def load(package_dir: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    search = importlib.import_module(f"{name}.search")
-    patterns = importlib.import_module(f"{name}.patterns")
-    return search.saturated_stream, patterns.parse_pattern
+    for sub in ("search", "patterns", "cli"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
 
 
-def timed(stream, parse, n: int, token: str) -> tuple[float, list]:
+def timed(pkg, case: tuple) -> tuple[float, object, int]:
+    """One run of ``case`` on package ``pkg``: its time, what the two
+    trees must agree on, and its number of outputs."""
     gc.collect()
-    f = parse(token)
+    n, arg, _ = case
+    if n == "cli":
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with redirect_stdout(out):
+            code = pkg.cli.main(list(arg))
+        elapsed = time.perf_counter() - t0
+        return elapsed, (code, out.getvalue()), out.getvalue().count("\n")
+    f = pkg.patterns.parse_pattern(arg)
     t0 = time.perf_counter()
-    pairs = list(stream(n, f))
+    pairs = list(pkg.search.saturated_stream(n, f))
     elapsed = time.perf_counter() - t0
-    return elapsed, [(g.rows, form) for g, form in pairs]
+    return elapsed, [(g.rows, form) for g, form in pairs], len(pairs)
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -66,13 +85,22 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def parse_case(text: str) -> tuple[int, str, int]:
-    """``N:F:ROUNDS`` as (n, F, rounds).  A ``g6:`` token holds a colon
-    itself, so n ends at the first colon and the rounds start after the
-    last one."""
+def parse_case(text: str) -> tuple:
+    """``N:F:ROUNDS`` as (n, F, rounds), and ``cli:ROUNDS:ARGV`` as
+    ("cli", argv tuple, rounds).  A ``g6:`` token holds a colon itself,
+    so n ends at the first colon and the rounds start after the last
+    one."""
+    if text.startswith("cli:"):
+        rounds, argv = text[len("cli:"):].split(":", 1)
+        return "cli", tuple(argv.split()), int(rounds)
     n, rest = text.split(":", 1)
     token, rounds = rest.rsplit(":", 1)
     return int(n), token, int(rounds)
+
+
+def case_label(case: tuple) -> str:
+    n, arg, _ = case
+    return "cli:" + " ".join(arg) if n == "cli" else f"n={n}:{arg}"
 
 
 def main(argv: list[str]) -> int:
@@ -82,33 +110,34 @@ def main(argv: list[str]) -> int:
     trees = {side: load(path, f"satlab_{side}") for side, path in zip(SIDES, argv[:2])}
     cases = [parse_case(text) for text in argv[2:] or DEFAULT_CASES]
     times = {case: {side: [] for side in SIDES} for case in cases}
-    classes = {}
+    outputs = {}
     print("case round first parent_s change_s")
     for case in cases:
-        n, token, rounds = case
-        for r in range(rounds):
+        label = case_label(case)
+        for r in range(case[2]):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             results = {}
             for side in order:
-                results[side] = timed(*trees[side], n, token)
+                results[side] = timed(trees[side], case)
             if results["parent"][1] != results["change"][1]:
-                print(f"n={n} {token}: the two streams differ", file=sys.stderr)
+                what = "stdout or exit code" if case[0] == "cli" else "streams"
+                print(f"{label}: the two trees' {what} differ", file=sys.stderr)
                 return 1
-            classes[case] = len(results["parent"][1])
+            outputs[case] = results["parent"][2]
             for side in SIDES:
                 times[case][side].append(results[side][0])
-            print(f"n={n}:{token} {r + 1} {order[0]} "
+            print(f"{label} {r + 1} {order[0]} "
                   f"{results['parent'][0]:.4f} {results['change'][0]:.4f}", flush=True)
     print()
-    print("case rounds classes parent_med parent_iqr change_med change_wins verdict")
+    print("case rounds outputs parent_med parent_iqr change_med change_wins verdict")
     for case in cases:
-        n, token, rounds = case
+        rounds = case[2]
         pt, ct = times[case]["parent"], times[case]["change"]
         q1, q3 = quartiles(pt)
         pmed, cmed = statistics.median(pt), statistics.median(ct)
         wins = sum(c < p for p, c in zip(pt, ct))
         verdict = "ok" if cmed <= pmed + (q3 - q1) else "slower"
-        print(f"n={n}:{token} {rounds} {classes[case]} {pmed:.4f} {q3 - q1:.4f} {cmed:.4f} "
+        print(f"{case_label(case)} {rounds} {outputs[case]} {pmed:.4f} {q3 - q1:.4f} {cmed:.4f} "
               f"{wins}/{rounds} {verdict}")
     return 0
 
