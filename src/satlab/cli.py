@@ -128,12 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graphs(path: str | None) -> list[tuple[str, Graph]]:
-    """(text to print, graph) per input line; all are decoded before any prints."""
-    if path is None:
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, "r", encoding="ascii") as f:
-            lines = f.read().splitlines()
+    """(text to print, graph) per input line; all are decoded before any
+    prints.  A file and stdin are read alike, as bytes: a byte past ASCII
+    decodes to one lone surrogate, which ``from_graph6`` rejects at its
+    offset."""
+    with nullcontext(sys.stdin.buffer) if path is None else open(path, "rb") as f:
+        lines = f.read().decode("ascii", "surrogateescape").splitlines()
     graphs = [(text, from_graph6(line)) for line, text in _graph6_lines(lines)]
     if not graphs:
         raise InputError("no graphs in input")

@@ -349,12 +349,14 @@ def count_embeddings(g: Graph, f: Graph) -> int:
 def contains_subgraph(g: Graph, f: Graph, through: tuple[int, ...] = ()) -> bool:
     """True iff ``g`` has a subgraph isomorphic to ``f`` (f.n <= 8); with
     ``through`` one vertex w, iff some copy uses w; with two vertices
-    u, v, iff some copy uses the edge uv.
+    u, v, iff g + uv has a copy through uv, whether or not uv is an
+    edge of g.
 
     The anchored search tries each orbit representative of F on the
     anchor and extends from there with ``_extends``, so it only visits
-    copies through it.  Where g without the anchor is F-free, it answers
-    the unanchored question.
+    copies through it.  It never reads the adjacency of u and v, so a
+    non-edge needs no g + uv.  Where g without the anchor is F-free, it
+    answers the unanchored question.
     """
     plan = _plan(f.rows)
     k = len(through)
@@ -364,13 +366,12 @@ def contains_subgraph(g: Graph, f: Graph, through: tuple[int, ...] = ()) -> bool
     u, v = through[0], through[-1]  # u == v for one anchor
     if k > 2 or not (0 <= u < n and 0 <= v < n) or k == 2 and u == v:
         raise InputError(f"through must be 0, 1 or 2 distinct vertices of g, got {through!r}")
-    rows = g.rows
-    if k == 2 and not rows[u] >> v & 1 or f.n > n:
+    if f.n > n:
         return False
     image = [u, v, *_SLOTS]
     free = ((1 << n) - 1) ^ (1 << u | 1 << v)
     for _, back in plan.anchored(k):
-        if len(back) == k or _extends(rows, free, back, image, k):
+        if len(back) == k or _extends(g.rows, free, back, image, k):
             return True
     return False
 

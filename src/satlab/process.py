@@ -158,23 +158,22 @@ def _ffree_greedy(n: int, f: int | Graph, pairs: tuple[tuple[int, int], ...],
     """Rows and accepted pairs of the greedy insertion of ``pairs`` in
     ``order`` that keeps the graph free of F (a K_s order or a pattern
     graph).  The graph before uv is F-free, so a new copy uses uv: a
-    K_{s-2} in N(u) & N(v), or one containment search anchored on uv."""
+    K_{s-2} in N(u) & N(v), or one containment search anchored on uv in
+    the graph before uv, whose ``Graph`` is rebuilt only on an accept."""
     rows = [0] * n
+    g = Graph._from_rows_unchecked(n, tuple(rows))
     accepted: list[tuple[int, int]] = []
     for pi in order:
         u, v = pairs[pi]
         if isinstance(f, int):
             if _find_clique(rows, rows[u] & rows[v], f - 2) >= 0:
                 continue
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        else:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            if contains_subgraph(Graph._from_rows_unchecked(n, tuple(rows)), f, through=(u, v)):
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-                continue
+        elif contains_subgraph(g, f, through=(u, v)):
+            continue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        if not isinstance(f, int):
+            g = Graph._from_rows_unchecked(n, tuple(rows))
         accepted.append((u, v))
     return rows, accepted
 

@@ -155,12 +155,13 @@ def _uncompleted_non_edges(rows: tuple[int, ...], n: int, f: int | Graph,
                            pairs: Iterable[tuple[int, int]] | None = None
                            ) -> Iterator[tuple[int, int]]:
     """Each non-edge uv (u < v) of the graph on ``rows``, lowest first,
-    with no copy of F (a K_s order s or a pattern graph) through the edge
-    uv in g + uv; with ``pairs``, each of those non-edges in their order.
+    with no copy of F (a K_s order s or a pattern graph) through uv in
+    g + uv; with ``pairs``, each of those non-edges in their order.
 
     On an F-free graph a copy in g + uv uses uv: a K_{s-2} in N(u) & N(v),
-    or one search anchored on uv.  This is the one per-non-edge loop,
-    shared by both saturation reports and the search's last two levels.
+    or one search anchored on uv in g itself, which answers for g + uv.
+    This is the one per-non-edge loop, shared by both saturation reports
+    and the search's last two levels.
     """
     if isinstance(f, int):
         if pairs is not None:
@@ -183,13 +184,9 @@ def _uncompleted_non_edges(rows: tuple[int, ...], n: int, f: int | Graph,
         # lazily, lowest first: is_h_saturated stops at the first miss
         full = (1 << n) - 1
         pairs = ((u, v) for u in range(n) for v in bits_of(~rows[u] & full & -(2 << u)))
+    g = Graph._from_rows_unchecked(n, rows)
     for u, v in pairs:
-        added = list(rows)
-        added[u] |= 1 << v
-        added[v] |= 1 << u
-        if not contains_subgraph(
-            Graph._from_rows_unchecked(n, tuple(added)), f, through=(u, v)
-        ):
+        if not contains_subgraph(g, f, through=(u, v)):
             yield u, v
 
 

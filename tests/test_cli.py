@@ -1,8 +1,10 @@
 """CLI contract: subcommands, formats, exit codes."""
 
 import hashlib
+import io
 import json
 import random
+import sys
 from math import comb
 from pathlib import Path
 
@@ -164,6 +166,28 @@ class TestEcho:
         assert [json.loads(row)["graph"] for row in out.splitlines()] == [
             line.strip().removeprefix(">>graph6<<") for line in lines if line.strip()]
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+class TestNonAsciiInput:
+    """A byte past ASCII in the input is a parse error at its byte offset,
+    exit 3, and a file and stdin give the same message.  ``search``
+    reads input from ``-i`` only."""
+
+    DATA = b"Bw\n\xff\n"
+    RESULT = (3, "", "parse error: byte '\\udcff' outside graph6 range (at byte offset 0)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--sat", "ks", "--s", "3"),
+        ("count", "--pattern", "star", "--t", "2"),
+        ("search", "--n", "3", "--h", "k_2", "--f", "k_3"),
+    ], ids=["check", "count", "search"])
+    def test_file_and_stdin_agree(self, capsys, monkeypatch, tmp_path, argv):
+        src = tmp_path / "bad.g6"
+        src.write_bytes(self.DATA)
+        assert run(capsys, *argv, "-i", str(src)) == self.RESULT
+        if argv[0] != "search":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.DATA)))
+            assert run(capsys, *argv) == self.RESULT
 
 
 class TestSearch:

@@ -294,10 +294,11 @@ ANCHOR_PATTERNS = {
 }
 
 
-def _without_edge(g, u, v):
+def _toggled(g, u, v):
+    """g - uv for an edge uv, g + uv for a non-edge."""
     rows = list(g.rows)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
     return Graph.from_rows(rows)
 
 
@@ -306,29 +307,37 @@ SMALL_PATTERNS = [f for n in range(2, 6) for f in enumerate_graphs(n) if f.edge_
 
 
 def _anchor_outcomes(f, graphs, count):
-    """Check ``contains_subgraph`` on every edge anchor, both ways round,
-    and every vertex anchor of ``graphs`` against ``count`` differences;
-    return the sets of edge and of vertex verdicts seen."""
-    edge_outcomes, vertex_outcomes = set(), set()
+    """Check ``contains_subgraph`` on every edge and non-edge anchor, both
+    ways round, and every vertex anchor of ``graphs`` against ``count``
+    differences; return the sets of edge, non-edge and vertex verdicts
+    seen."""
+    edge_outcomes, non_edge_outcomes, vertex_outcomes = set(), set(), set()
     for g in graphs:
         base = count(g)
-        for u, v in g.edges():
-            want = count(_without_edge(g, u, v)) < base
-            assert contains_subgraph(g, f, through=(u, v)) is want, (g, u, v)
-            assert contains_subgraph(g, f, through=(v, u)) is want, (g, v, u)
-            edge_outcomes.add(want)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                other = count(_toggled(g, u, v))
+                if g.rows[u] >> v & 1:
+                    want = other < base
+                    edge_outcomes.add(want)
+                else:
+                    want = other > base
+                    non_edge_outcomes.add(want)
+                assert contains_subgraph(g, f, through=(u, v)) is want, (g, u, v)
+                assert contains_subgraph(g, f, through=(v, u)) is want, (g, v, u)
         for w in range(g.n):
             rest = induced_subgraph(g, [x for x in range(g.n) if x != w])
             want = count(rest) < base
             assert contains_subgraph(g, f, through=(w,)) is want, (g, w)
             vertex_outcomes.add(want)
-    return edge_outcomes, vertex_outcomes
+    return edge_outcomes, non_edge_outcomes, vertex_outcomes
 
 
 class TestAnchoredContainment:
-    """``contains_subgraph(g, f, through=...)`` against copy counts: some
-    copy uses the edge uv iff g has more copies than g - uv, and uses
-    the vertex w iff g has more copies than g - w."""
+    """``contains_subgraph(g, f, through=...)`` against copy counts: for
+    an edge uv some copy uses uv iff g has more copies than g - uv, for a
+    non-edge uv some copy in g + uv uses uv iff g + uv has more copies
+    than g, and some copy uses the vertex w iff g has more than g - w."""
 
     def test_named_patterns(self):
         assert ANCHOR_PATTERNS["g6:C`"].edges() == [(0, 1), (2, 3)]
@@ -346,7 +355,8 @@ class TestAnchoredContainment:
         else:
             def count(g):
                 return count_embeddings(g, f)
-        assert _anchor_outcomes(f, small_random_graphs, count)[0] == {False, True}
+        edge_outcomes, non_edge_outcomes, _ = _anchor_outcomes(f, small_random_graphs, count)
+        assert edge_outcomes == non_edge_outcomes == {False, True}
 
     @pytest.mark.parametrize("f", SMALL_PATTERNS, ids=to_graph6)
     def test_every_small_pattern(self, small_random_graphs, f):
@@ -354,9 +364,9 @@ class TestAnchoredContainment:
         # of 5 to 7 vertices and on K_6, which holds a copy through each
         # of its vertices and edges
         hosts = [g for g in small_random_graphs if 5 <= g.n <= 7][:12] + [complete_graph(6)]
-        edge_outcomes, vertex_outcomes = _anchor_outcomes(
+        edge_outcomes, non_edge_outcomes, vertex_outcomes = _anchor_outcomes(
             f, hosts, lambda g: count_embeddings(g, f))
-        assert True in edge_outcomes and True in vertex_outcomes
+        assert True in edge_outcomes and True in non_edge_outcomes and True in vertex_outcomes
 
     def test_edgeless_pattern(self):
         g, f = complete_graph(4), empty_graph(3)
@@ -372,10 +382,16 @@ class TestAnchoredContainment:
         assert not contains_subgraph(g, f, through=(2,))
 
     def test_non_edge_anchor(self):
+        # a non-edge anchor answers for g + uv: C_4 + 02 has the path 1-0-2
+        # through 02, and K_3 has none through a non-edge of a matching
         g = cycle(4)
         assert contains_subgraph(g, path(3))
-        assert not contains_subgraph(g, path(3), through=(0, 2))
+        assert contains_subgraph(g, path(3), through=(0, 2))
+        assert contains_subgraph(g, path(3), through=(2, 0))
         assert contains_subgraph(g, path(3), through=(0, 1))
+        matching = Graph(4, [(0, 1), (2, 3)])
+        assert not contains_subgraph(matching, complete_graph(3), through=(0, 2))
+        assert contains_subgraph(matching, path(3), through=(0, 2))
 
     def test_bad_anchor_rejected(self):
         g = cycle(5)
@@ -406,14 +422,13 @@ class TestAnchoredContainment:
                     assert sorted(rooted.order) == list(range(f.n))
 
     def test_k2_anchored_on_its_own_edge(self):
-        # both slots of K_2 are anchors: an edge is a copy at once, and a
-        # non-edge is none
+        # both slots of K_2 are anchors: uv is a copy in g + uv at once,
+        # whether or not it is an edge of g
         g = path(3)
         k2 = complete_graph(2)
-        for through in ((0, 1), (1, 0), (2, 1)):
+        for through in ((0, 1), (1, 0), (2, 1), (0, 2), (2, 0)):
             assert contains_subgraph(g, k2, through=through) is True, through
-        assert contains_subgraph(g, k2, through=(0, 2)) is False
-        assert contains_subgraph(empty_graph(2), k2, through=(0, 1)) is False
+        assert contains_subgraph(empty_graph(2), k2, through=(0, 1)) is True
 
     def test_last_position_without_earlier_neighbour(self, small_random_graphs):
         # K_2 plus an isolated vertex: the last position takes any unused

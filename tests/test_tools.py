@@ -24,6 +24,8 @@ def ab_streams():
     ("8:g6:C`:4", (8, "g6:C`", 4)),
     ("cli:3:check --sat ks --s 4 -i g.g6", ("cli", ("check", "--sat", "ks", "--s", "4",
                                                      "-i", "g.g6"), 3)),
+    ("expected:5:12:c_4:k_2_2:20:0", ("expected", (12, "c_4", "k_2_2", 20, 0), 5)),
+    ("expected:3:8:g6:C`:g6:Bw:4:7", ("expected", (8, "g6:C`", "g6:Bw", 4, 7), 3)),
 ])
 def test_parse_case(ab_streams, text, case):
     assert ab_streams.parse_case(text) == case
@@ -56,3 +58,12 @@ def test_main_runs_a_cli_case(ab_streams, capsys, tmp_path):
     assert [line.removeprefix(label).split()[:2] for line in out[1:3]] == [["1", "parent"],
                                                                           ["2", "change"]]
     assert out[-1].startswith(f"{label} 2 2 ")  # two rounds, two stdout lines
+
+
+def test_main_runs_an_expected_case(ab_streams, capsys):
+    assert _main(ab_streams, "expected:2:8:c_4:k_2_2:3:0") == 0
+    out = capsys.readouterr().out.splitlines()
+    label = "expected:8:c_4:k_2_2:3:0"
+    assert [line.split()[:3] for line in out[1:3]] == [[label, "1", "parent"],
+                                                        [label, "2", "change"]]
+    assert out[-1].startswith(f"{label} 2 3 ")  # two rounds, three trials

@@ -1,9 +1,9 @@
-"""In-process A/B timing of ``saturated_stream``, or of a CLI command,
-on two satlab trees.
+"""In-process A/B timing of ``saturated_stream``, of a CLI command, or
+of ``estimate_expected_count``, on two satlab trees.
 
 Usage:
     python tools/ab_streams.py PARENT/src/satlab CHANGE/src/satlab \
-        [N:F:ROUNDS | cli:ROUNDS:ARGV ...]
+        [N:F:ROUNDS | cli:ROUNDS:ARGV | expected:ROUNDS:N:F:H:TRIALS:SEED ...]
 
 Both package directories are imported into one interpreter, as
 ``satlab_parent`` and ``satlab_change``.  Each round of a case runs
@@ -12,12 +12,16 @@ both trees, alternating which tree goes first.  A stream case
 and both trees must give the same (rows, form) list.  A CLI case
 ``cli:ROUNDS:ARGV`` times ``satlab.cli.main(ARGV)`` with stdout
 captured, ARGV split on spaces (give the input with ``-i FILE``), and
-both trees must give the same stdout and exit code.  A round that
-differs stops the run.
+both trees must give the same stdout and exit code.  An expected case
+``expected:ROUNDS:N:F:H:TRIALS:SEED`` times
+``process.estimate_expected_count(N, F, H, TRIALS, SEED)``, the process
+path of every F that no CLI command reaches, and both trees must give
+the same ``TrialStats``.  A round that differs stops the run.
 
 Every round is printed, then per case: its outputs (the stream's
-classes, or the CLI's stdout lines), each side's median, the parent's
-interquartile range, and the number of rounds the change was faster.
+classes, the CLI's stdout lines, or the trials), each side's median,
+the parent's interquartile range, and the number of rounds the change
+was faster.
 A case is "ok" when the change's median is lower than the parent's or
 above it by no more than the parent's IQR.  F is a pattern token
 (``k_4``, ``c_5``, a ``g6:`` line, ...).  The default cases are the
@@ -45,7 +49,8 @@ SIDES = ("parent", "change")
 
 def load(package_dir: str, name: str):
     """Import the satlab package at ``package_dir`` as ``name``, with its
-    ``search``, ``patterns`` and ``cli`` modules, and return it."""
+    ``search``, ``patterns``, ``cli`` and ``process`` modules, and return
+    it."""
     init = Path(package_dir) / "__init__.py"
     if not init.is_file():
         sys.exit(f"{package_dir}: not a package directory (no __init__.py)")
@@ -54,7 +59,7 @@ def load(package_dir: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("search", "patterns", "cli"):
+    for sub in ("search", "patterns", "cli", "process"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -71,6 +76,11 @@ def timed(pkg, case: tuple) -> tuple[float, object, int]:
             code = pkg.cli.main(list(arg))
         elapsed = time.perf_counter() - t0
         return elapsed, (code, out.getvalue()), out.getvalue().count("\n")
+    if n == "expected":
+        t0 = time.perf_counter()
+        stats = pkg.process.estimate_expected_count(*arg)
+        elapsed = time.perf_counter() - t0
+        return elapsed, tuple(stats), stats.trials
     f = pkg.patterns.parse_pattern(arg)
     t0 = time.perf_counter()
     pairs = list(pkg.search.saturated_stream(n, f))
@@ -86,13 +96,21 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
 
 
 def parse_case(text: str) -> tuple:
-    """``N:F:ROUNDS`` as (n, F, rounds), and ``cli:ROUNDS:ARGV`` as
-    ("cli", argv tuple, rounds).  A ``g6:`` token holds a colon itself,
-    so n ends at the first colon and the rounds start after the last
-    one."""
+    """``N:F:ROUNDS`` as (n, F, rounds), ``cli:ROUNDS:ARGV`` as
+    ("cli", argv tuple, rounds), and ``expected:ROUNDS:N:F:H:TRIALS:SEED``
+    as ("expected", (n, F, H, trials, seed), rounds).  A ``g6:`` token
+    holds a colon itself, so n ends at the first colon and the rounds
+    start after the last one, and F ends at its first colon after any
+    ``g6:`` (graph6 data has no colon)."""
     if text.startswith("cli:"):
         rounds, argv = text[len("cli:"):].split(":", 1)
         return "cli", tuple(argv.split()), int(rounds)
+    if text.startswith("expected:"):
+        rounds, n, tokens = text[len("expected:"):].split(":", 2)
+        tokens, trials, seed = tokens.rsplit(":", 2)
+        cut = tokens.index(":", 3 if tokens.startswith("g6:") else 0)
+        spec = int(n), tokens[:cut], tokens[cut + 1:], int(trials), int(seed)
+        return "expected", spec, int(rounds)
     n, rest = text.split(":", 1)
     token, rounds = rest.rsplit(":", 1)
     return int(n), token, int(rounds)
@@ -100,6 +118,8 @@ def parse_case(text: str) -> tuple:
 
 def case_label(case: tuple) -> str:
     n, arg, _ = case
+    if n == "expected":
+        return "expected:" + ":".join(map(str, arg))
     return "cli:" + " ".join(arg) if n == "cli" else f"n={n}:{arg}"
 
 
@@ -120,7 +140,8 @@ def main(argv: list[str]) -> int:
             for side in order:
                 results[side] = timed(trees[side], case)
             if results["parent"][1] != results["change"][1]:
-                what = "stdout or exit code" if case[0] == "cli" else "streams"
+                what = {"cli": "stdout or exit code", "expected": "TrialStats"}.get(
+                    case[0], "streams")
                 print(f"{label}: the two trees' {what} differ", file=sys.stderr)
                 return 1
             outputs[case] = results["parent"][2]
