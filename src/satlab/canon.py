@@ -4,26 +4,32 @@ The canonical form of a graph is the lexicographically minimal upper
 triangle bit string (column order, matching graph6) over all vertex
 orderings.  Two graphs get equal forms iff they are isomorphic.
 
-The search places vertices position by position.  The unplaced vertices
-are kept as an ordered list of ``(mask, col)`` cells: a cell is the
-bitmask of the vertices whose column against the placed path is
-``col``, and the cells are sorted by that value.  The first cell is the
-tie set: every vertex in it contributes the same next column (the
-minimum), so the tree only branches on ties.  Placing a vertex splits
-every cell into its non-neighbours (column bit 0) and neighbours (bit
-1), which keeps the order.  Twin candidates (interchangeable by a
-transposition fixing everything else) and prefixes that cannot beat the
-best completed string are pruned.  Exhaustive at heart, which is fine at
-the target sizes (n <= 9 for general enumeration, n <= 12 for the
+One search, ``_smaller_prefix``, answers every question here.  It places
+vertices position by position.  The unplaced vertices are kept as an
+ordered list of ``(mask, col)`` cells: a cell is the bitmask of the
+vertices whose column against the placed path is ``col``, and the cells
+are sorted by that value.  The first cell is the tie set: every vertex
+in it contributes the same next column (the minimum), so the tree only
+branches on ties.  Placing a vertex splits every cell into its
+non-neighbours (column bit 0) and neighbours (bit 1), which keeps the
+order.  The search is bounded by the columns of one labeling: it prunes
+a branch at its first larger column and stops at the first smaller one,
+and it prunes twin candidates (interchangeable by a transposition
+fixing everything else).  Exhaustive at heart, which is fine at the
+target sizes (n <= 9 for general enumeration, n <= 12 for the
 K_s-saturated search with s >= 3, n <= ``MAX_CANON_VERTICES`` for
 one-off calls and the empty graphs of the K_2 search).
 
-``is_canonical`` runs the same search against a fixed bound, the
-identity labeling's columns, and stops at the first smaller column.
-The minimal string has the prefix property (the first k vertices of a
+``is_canonical`` bounds the search by the identity labeling.  The
+minimal string has the prefix property (the first k vertices of a
 minimal labeling are a minimal labeling of the subgraph they induce),
 which is what lets orderly generation keep a child of a canonical
-parent exactly when this test passes.
+parent exactly when this test passes.  ``canonical_rows`` descends: it
+starts from the first-branch labeling (the lowest vertex of each tie
+cell in turn), and while the search finds a smaller prefix, relabels by
+that prefix completed along the first branch.  Each step strictly
+lowers the string, and the minimal string fixes the rows, so the
+canonicity test and the canonical form cannot disagree.
 """
 
 from __future__ import annotations
@@ -75,84 +81,21 @@ def _is_twin(rows: tuple[int, ...], rv: int, rest: int, tried: list[int]) -> boo
     return False
 
 
-def canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Vertex order (position -> vertex) achieving the minimal string.
+def _smaller_prefix(rows: tuple[int, ...], n: int,
+                    ident: list[int]) -> list[int] | None:
+    """The first prefix found whose columns are below ``ident``'s, else
+    None: no labeling has a smaller string.
 
-    Of the labelings with the minimal string, the first one the search
-    reaches, visiting tie vertices in ascending order.
+    ``ident`` holds a labeling's columns in its first n entries.  The
+    prefix is its placed vertices, last placed first (the path is
+    appended on the way back up): their columns equal ``ident``'s, and
+    the next column, that of the lowest remaining cell, is smaller.
     """
-    _check_size(n)
     if n <= 1:
-        return tuple(range(n))
-    last = n - 1
-    best: list[int] = []  # columns of the best labeling so far
-    best_path: list[int] = []
-    cols: list[int] = []
-    path: list[int] = []
-
-    def rec(rest: int, cells: Cells, below: bool) -> bool:
-        # below: cols is already smaller than best's prefix (or no best
-        # yet); returns True iff a new best was recorded in this subtree
-        tie, m = cells[0]
-        depth = len(cols)
-        if not below:
-            bound = best[depth]
-            if m > bound:
-                return False
-            below = m < bound
-        if depth == last:  # tie is the one vertex left
-            if below:
-                best[:] = cols
-                best.append(m)
-                best_path[:] = path
-                best_path.append(tie.bit_length() - 1)
-            return below
-        cols.append(m)
-        improved = False
-        tried: list[int] = []
-        t = tie
-        while t:
-            low = t & -t
-            t ^= low
-            v = low.bit_length() - 1
-            rv = rows[v]
-            r2 = rest ^ low
-            if _is_twin(rows, rv, r2, tried):
-                continue
-            tried.append(v)
-            path.append(v)
-            if rec(r2, _place(cells, low, rv), below):
-                # the new best runs through this prefix
-                improved = True
-                below = False
-            path.pop()
-        cols.pop()
-        return improved
-
-    full = (1 << n) - 1
-    rec(full, [(full, 0)], True)
-    return tuple(best_path)
-
-
-def is_canonical(rows: tuple[int, ...], n: int,
-                 ident: list[int] | None = None) -> bool:
-    """True iff the identity labeling already gives the minimal string.
-
-    Equivalent to ``canonical_rows(rows, n) == rows`` but builds no
-    minimum: a branch whose column exceeds the identity's is pruned, and
-    the first strictly smaller column answers False.  ``ident``, if
-    given, must hold the identity labeling's columns in its first n
-    entries (later ones are ignored): orderly generation has them from
-    the parent and the new column, so it need not rebuild them.
-    """
-    _check_size(n)
-    if n <= 1:
-        return True
-    if ident is None:
-        ident = [column(rows[j], j) for j in range(n)]
+        return None
     last = n - 1
 
-    def smaller(depth: int, rest: int, cells: Cells) -> bool:
+    def smaller(depth: int, rest: int, cells: Cells) -> list[int] | None:
         # the tie cell's column equals ident[depth]; try each tie vertex
         # at position depth and compare the next column with ident[nxt]
         nxt = depth + 1
@@ -180,32 +123,75 @@ def is_canonical(rows: tuple[int, ...], n: int,
                 m = col1 << 1 if mask1 & ~rv else col1 << 1 | 1
             if m != target:
                 if m < target:
-                    return True
+                    return [v]
                 continue
-            if nxt != last and smaller(nxt, r2, _place(cells, low, rv)):
-                return True
-        return False
+            if nxt != last:
+                found = smaller(nxt, r2, _place(cells, low, rv))
+                if found:
+                    found.append(v)
+                    return found
+        return None
 
     full = (1 << n) - 1
-    return not smaller(0, full, [(full, 0)])
+    return smaller(0, full, [(full, 0)])
 
 
-def canonical_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Adjacency rows of the canonically relabeled graph."""
-    order = canonical_order(rows, n)
+def is_canonical(rows: tuple[int, ...], n: int,
+                 ident: list[int] | None = None) -> bool:
+    """True iff the identity labeling already gives the minimal string,
+    that is ``canonical_rows(rows, n) == rows``.
+
+    ``ident``, if given, must hold the identity labeling's columns in
+    its first n entries (later ones are ignored): orderly generation has
+    them from the parent and the new column, so it need not rebuild
+    them.
+    """
+    _check_size(n)
+    if ident is None:
+        ident = [column(rows[j], j) for j in range(n)]
+    return _smaller_prefix(rows, n, ident) is None
+
+
+def _first_branch(rows: tuple[int, ...], n: int,
+                  prefix: list[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The labeling that places ``prefix`` (last placed first, each
+    vertex in its tie cell; emptied) and then the lowest vertex of each
+    tie cell in turn: the graph's rows in it, and its columns."""
+    full = (1 << n) - 1
+    cells = [(full, 0)]
+    order: list[int] = []
+    cols: list[int] = []
+    for _ in range(n):
+        tie, m = cells[0]
+        low = 1 << prefix.pop() if prefix else tie & -tie
+        v = low.bit_length() - 1
+        order.append(v)
+        cols.append(m)
+        cells = _place(cells, low, rows[v])
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    out = [0] * n
-    for i, v in enumerate(order):
+    out = []
+    for v in order:
         rv = rows[v]
         acc = 0
         while rv:
             low = rv & -rv
             acc |= 1 << pos[low.bit_length() - 1]
             rv ^= low
-        out[i] = acc
-    return tuple(out)
+        out.append(acc)
+    return tuple(out), cols
+
+
+def canonical_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Adjacency rows of the canonically relabeled graph: the descent
+    from the first-branch labeling down to the minimal string."""
+    _check_size(n)
+    prefix: list[int] | None = []
+    while prefix is not None:
+        rows, cols = _first_branch(rows, n, prefix)
+        prefix = _smaller_prefix(rows, n, cols)
+    return rows
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -154,21 +154,30 @@ def _emit(text: str, path: str | None) -> None:
             f.write(text + "\n")
 
 
-def _cmd_construct(args) -> int:
-    from .families import FamilySpec, make
+def _reject_unread(args, flags: tuple[str, ...], reads, what: str) -> None:
+    """A usage error naming each of ``flags`` given but not in ``reads``."""
+    unread = [f"--{k}" for k in flags if getattr(args, k) is not None and k not in reads]
+    if unread:
+        raise InputError(f"{what} does not take {', '.join(unread)}")
 
-    params = {}
-    for key in ("n", "s", "a", "b"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+
+def _cmd_construct(args) -> int:
+    from .families import _FAMILY_TABLE, FamilySpec, make
+
+    flags = ("n", "s", "a", "b")
+    if args.family in _FAMILY_TABLE:
+        _reject_unread(args, flags, _FAMILY_TABLE[args.family][1], f"--family {args.family}")
+    params = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     g = make(FamilySpec(args.family, params))
     _emit(to_graph6(g), args.output)
     return 0
 
 
 def _cmd_count(args) -> int:
+    read = {"g6"} if args.pattern == "embed" else set()
+
     def need(name: str) -> int:
+        read.add(name)
         value = getattr(args, name)
         if value is None:
             raise InputError(f"--pattern {args.pattern} requires --{name}")
@@ -198,6 +207,7 @@ def _cmd_count(args) -> int:
             raise InputError(f"bad --g6 {args.g6!r}: {exc}") from exc
         check_pattern_size(pat)
         label, counter = f"g6:{args.g6}", lambda g: count_embeddings(g, pat)
+    _reject_unread(args, ("t", "a", "b", "r", "g6"), read, f"--pattern {args.pattern}")
     if args.pattern in ("star", "clique", "cycle"):
         name = "t" if args.pattern == "star" else "r"
         _check_range(name, getattr(args, name), label)

@@ -90,7 +90,7 @@ def from_graph6(text: str) -> Graph:
     bits = data.translate(_TO_SIX)
     if len(bits) != 6 * need:  # a byte outside the table stays one character
         k = next(k for k, ch in enumerate(data) if ch not in _SIX)
-        raise Graph6ParseError(f"byte {data[k]!r} outside graph6 range", base + pos + k)
+        raise Graph6ParseError(f"byte {_byte_name(data[k])} outside graph6 range", base + pos + k)
     if "1" in bits[nbits:]:
         raise Graph6ParseError("nonzero padding bits", base + pos + need - 1)
     # column j at offset j*n, zero-padded to n bits: vertex i's bit of
@@ -102,10 +102,18 @@ def from_graph6(text: str) -> Graph:
     return Graph._from_rows_unchecked(n, tuple(rows))
 
 
+def _byte_name(ch: str) -> str:
+    """``ch`` as a parse error names it: a lone surrogate, which is how
+    a byte past ASCII decodes under "surrogateescape", as that byte's
+    value (``0xff``), any other character quoted."""
+    code = ord(ch)
+    return f"0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else repr(ch)
+
+
 def _decode_n(s: str, base: int) -> tuple[int, int]:
     c0 = ord(s[0]) - 63
     if not 0 <= c0 <= 63:
-        raise Graph6ParseError(f"byte {s[0]!r} outside graph6 range", base)
+        raise Graph6ParseError(f"byte {_byte_name(s[0])} outside graph6 range", base)
     if c0 != 63:
         return c0, 1
     # "~~" and six bytes for n > 258047, else "~" and three for n > 62
@@ -116,7 +124,7 @@ def _decode_n(s: str, base: int) -> tuple[int, int]:
     for k in range(start, end):
         v = ord(s[k]) - 63
         if not 0 <= v <= 63:
-            raise Graph6ParseError(f"byte {s[k]!r} outside graph6 range", base + k)
+            raise Graph6ParseError(f"byte {_byte_name(s[k])} outside graph6 range", base + k)
         n = n << 6 | v
     if n <= floor:
         raise Graph6ParseError(f"non-canonical long size header for n={n}", base + start)

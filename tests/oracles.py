@@ -7,8 +7,8 @@ exceptions are slow paths that a fast one replaced and must reproduce
 exactly: ``dedup_enumerate``, the per-level canonical dedup that orderly
 generation replaced, graph by graph; ``list_canonical_order`` and
 ``list_is_canonical``, the canonical search over per-vertex column lists
-that the bitmask-cell search replaced, order by order and verdict by
-verdict; ``find_subgraph_oracle``, the embedding search that
+that the bitmask-cell search replaced, canonical rows by rows and verdict
+by verdict; ``find_subgraph_oracle``, the embedding search that
 ``find_subgraph`` replaced with a first-hit search of the existence
 kernel ``_extends``, witness by witness; ``filter_then_test_stream``, the saturated K_s
 stream as it was before the search decided saturation on its last two

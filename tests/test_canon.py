@@ -1,9 +1,10 @@
-"""The canonical search against the full labeling and the slow paths.
+"""The canonical search against the slow paths it replaced.
 
-``canonical_order`` and ``is_canonical`` must reproduce the per-vertex
-list search they replaced (``oracles.list_canonical_order`` and
-``oracles.list_is_canonical``) exactly: the same order tuple, the same
-verdict.
+``is_canonical`` must reproduce the per-vertex list search it replaced
+(``oracles.list_is_canonical``) verdict by verdict.  ``canonical_rows``
+descends by the same search, so it must give exactly the rows of the
+order ``oracles.list_canonical_order`` finds, wherever that oracle
+runs, and the same rows for every relabeling beyond it.
 """
 
 import random
@@ -18,7 +19,6 @@ from satlab.canon import (
     MAX_CANON_VERTICES,
     are_isomorphic,
     canonical_graph,
-    canonical_order,
     canonical_rows,
     is_canonical,
 )
@@ -131,11 +131,19 @@ def test_verdicts_match_oracle_sampled_n8_to_n10(case):
     assert is_canonical(crows, n)
 
 
+def oracle_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The rows in the minimal-string order of ``list_canonical_order``."""
+    perm = [0] * n
+    for i, v in enumerate(list_canonical_order(rows, n)):
+        perm[v] = i
+    return relabel(rows, perm)
+
+
 def test_canonical_order_matches_oracle_all_n_le_6():
     for n in range(7):
         for mask in range(1 << n * (n - 1) // 2):
             rows = labeled_rows(n, mask)
-            assert canonical_order(rows, n) == list_canonical_order(rows, n), (n, rows)
+            assert canonical_rows(rows, n) == oracle_rows(rows, n), (n, rows)
 
 
 @given(labelings(7, 10))
@@ -143,7 +151,7 @@ def test_canonical_order_matches_oracle_all_n_le_6():
 def test_canonical_order_matches_oracle_sampled_n7_to_n10(case):
     n, rows, crows, swapped = case
     for r in (rows, crows, swapped):
-        assert canonical_order(r, n) == list_canonical_order(r, n), (n, r)
+        assert canonical_rows(r, n) == oracle_rows(r, n), (n, r)
 
 
 @pytest.mark.parametrize("n", [7, 10, 12])
@@ -153,14 +161,57 @@ def test_canonical_order_matches_oracle_on_symmetric_graphs(n):
     complete = tuple(full ^ (1 << v) for v in range(n))
     ring = tuple(1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n))
     for rows in (empty, complete, ring):
-        assert canonical_order(rows, n) == list_canonical_order(rows, n)
+        assert canonical_rows(rows, n) == oracle_rows(rows, n)
         assert is_canonical(rows, n) == list_is_canonical(rows, n)
 
 
 def test_canonical_order_rejects_beyond_cap():
     n = MAX_CANON_VERTICES + 1
     with pytest.raises(InputError):
-        canonical_order((0,) * n, n)
+        canonical_rows((0,) * n, n)
+
+
+def duplicated_petersen(extra: int) -> tuple[int, ...]:
+    """Petersen with its first ``extra`` vertices duplicated: vertex
+    10 + i is a false twin of vertex i (same neighbours, not adjacent)."""
+    rows = list(petersen().rows) + [0] * extra
+    for i in range(extra):
+        for u in range(10):
+            if rows[i] >> u & 1:
+                rows[10 + i] |= 1 << u
+                rows[u] |= 1 << (10 + i)
+    return tuple(rows)
+
+
+def sparse_rows(rng: random.Random, n: int) -> tuple[int, ...]:
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < 0.2:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("name", ["sparse", "c_16", "petersen_duplicated"])
+def test_canonical_rows_are_relabeling_invariant_n11_to_n16(name):
+    """Beyond the oracle's reach: every relabeling of a graph gets the
+    same rows, and they are a canonical labeling of it."""
+    rng = random.Random(name)
+    if name == "sparse":
+        graphs = [sparse_rows(rng, n) for n in range(11, 17)]
+    elif name == "c_16":
+        graphs = [cycle(16).rows]
+    else:
+        graphs = [duplicated_petersen(extra) for extra in (1, 3, 6)]
+    for rows in graphs:
+        n = len(rows)
+        crows = canonical_rows(rows, n)
+        assert is_canonical(crows, n), (n, rows)
+        assert sorted(map(int.bit_count, crows)) == sorted(map(int.bit_count, rows))
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_rows(relabel(rows, perm), n) == crows, (n, rows, perm)
 
 
 def test_relabelled_petersen_is_isomorphic():

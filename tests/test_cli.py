@@ -174,7 +174,7 @@ class TestNonAsciiInput:
     reads input from ``-i`` only."""
 
     DATA = b"Bw\n\xff\n"
-    RESULT = (3, "", "parse error: byte '\\udcff' outside graph6 range (at byte offset 0)\n")
+    RESULT = (3, "", "parse error: byte 0xff outside graph6 range (at byte offset 0)\n")
 
     @pytest.mark.parametrize("argv", [
         ("check", "--sat", "ks", "--s", "3"),
@@ -327,16 +327,42 @@ class TestFlagsBeforeInput:
          "bad pattern 'g6:>>graph6<<Bx': nonzero padding bits (at byte offset 14)"),
         (("count", "--pattern", "embed", "--g6", "Bx"),
          "bad --g6 'Bx': nonzero padding bits (at byte offset 1)"),
+        # a flag the pattern does not read is an error, not ignored
+        (("count", "--pattern", "star", "--t", "2", "--a", "7", "--r", "99", "--g6", "zz"),
+         "--pattern star does not take --a, --r, --g6"),
+        (("count", "--pattern", "kab", "--a", "2", "--b", "2", "--t", "2"),
+         "--pattern kab does not take --t"),
+        (("count", "--pattern", "cycle", "--r", "4", "--b", "1"),
+         "--pattern cycle does not take --b"),
+        (("count", "--pattern", "k4minus", "--r", "4"), "--pattern k4minus does not take --r"),
+        (("count", "--pattern", "embed", "--g6", "Bw", "--t", "2"),
+         "--pattern embed does not take --t"),
     ], ids=["check_ks_no_s", "check_no_pattern", "check_bad_pattern", "check_edgeless",
             "count_star", "count_kab", "count_clique", "count_cycle", "count_embed",
             "search_bad_h", "search_bad_f", "search_edgeless_f", "search_negative_n",
             "check_ks_s0", "count_star_t0", "count_clique_r0", "count_cycle_r2",
             "count_cycle_r9", "count_embed_9_vertices", "search_empty_g6_f",
-            "check_bad_g6_pattern", "check_bad_g6_header_pattern", "count_bad_g6"])
+            "check_bad_g6_pattern", "check_bad_g6_header_pattern", "count_bad_g6",
+            "count_star_unread", "count_kab_unread", "count_cycle_unread",
+            "count_k4minus_unread", "count_embed_unread"])
     def test_usage_error_before_missing_input(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "-i", "/nonexistent.g6")
         assert code == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--family", "petersen", "--n", "5", "--s", "9"),
+         "--family petersen does not take --n, --s"),
+        (("--family", "ehm", "--n", "6", "--s", "3", "--a", "1"),
+         "--family ehm does not take --a"),
+        (("--family", "complete_bipartite", "--a", "2", "--b", "3", "--n", "5"),
+         "--family complete_bipartite does not take --n"),
+    ], ids=["petersen", "ehm", "complete_bipartite"])
+    def test_construct_rejects_unread_flags(self, capsys, tmp_path, argv, message):
+        target = tmp_path / "g.g6"
+        code, out, err = run(capsys, "construct", *argv, "-o", str(target))
+        assert code == 2 and out == "" and message in err
+        assert not target.exists()
 
 
 class TestProcess:

@@ -26,6 +26,8 @@ def ab_streams():
                                                      "-i", "g.g6"), 3)),
     ("expected:5:12:c_4:k_2_2:20:0", ("expected", (12, "c_4", "k_2_2", 20, 0), 5)),
     ("expected:3:8:g6:C`:g6:Bw:4:7", ("expected", (8, "g6:C`", "g6:Bw", 4, 7), 3)),
+    ("canon:8:12:0.25:600:1", ("canon", (12, 0.25, 600, 1), 8)),
+    ("canon:2:16:0.1:8:0", ("canon", (16, 0.1, 8, 0), 2)),
 ])
 def test_parse_case(ab_streams, text, case):
     assert ab_streams.parse_case(text) == case
@@ -67,3 +69,22 @@ def test_main_runs_an_expected_case(ab_streams, capsys):
     assert [line.split()[:3] for line in out[1:3]] == [[label, "1", "parent"],
                                                         [label, "2", "change"]]
     assert out[-1].startswith(f"{label} 2 3 ")  # two rounds, three trials
+
+
+def test_main_runs_a_canon_case(ab_streams, capsys):
+    assert _main(ab_streams, "canon:2:9:0.3:5:4") == 0
+    out = capsys.readouterr().out.splitlines()
+    label = "canon:9:0.3:5:4"
+    assert [line.split()[:3] for line in out[1:3]] == [[label, "1", "parent"],
+                                                        [label, "2", "change"]]
+    assert out[-1].startswith(f"{label} 2 5 ")  # two rounds, five graphs
+
+
+def test_random_labelings_are_seeded(ab_streams):
+    graphs = ab_streams.random_labelings(7, 0.5, 3, 2)
+    assert graphs == ab_streams.random_labelings(7, 0.5, 3, 2)
+    assert len(graphs) == 3 and len(set(graphs)) == 3
+    for rows in graphs:
+        assert all(rows[v] >> v & 1 == 0 for v in range(7))
+        assert all(rows[u] >> v & 1 == rows[v] >> u & 1 for u in range(7) for v in range(7))
+    assert ab_streams.random_labelings(5, 0.0, 2, 0) == [(0,) * 5] * 2

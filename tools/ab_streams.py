@@ -1,9 +1,11 @@
-"""In-process A/B timing of ``saturated_stream``, of a CLI command, or
-of ``estimate_expected_count``, on two satlab trees.
+"""In-process A/B timing of ``saturated_stream``, of a CLI command, of
+``estimate_expected_count``, or of ``canonical_rows``, on two satlab
+trees.
 
 Usage:
     python tools/ab_streams.py PARENT/src/satlab CHANGE/src/satlab \
-        [N:F:ROUNDS | cli:ROUNDS:ARGV | expected:ROUNDS:N:F:H:TRIALS:SEED ...]
+        [N:F:ROUNDS | cli:ROUNDS:ARGV | expected:ROUNDS:N:F:H:TRIALS:SEED
+         | canon:ROUNDS:N:P:COUNT:SEED ...]
 
 Both package directories are imported into one interpreter, as
 ``satlab_parent`` and ``satlab_change``.  Each round of a case runs
@@ -16,12 +18,15 @@ both trees must give the same stdout and exit code.  An expected case
 ``expected:ROUNDS:N:F:H:TRIALS:SEED`` times
 ``process.estimate_expected_count(N, F, H, TRIALS, SEED)``, the process
 path of every F that no CLI command reaches, and both trees must give
-the same ``TrialStats``.  A round that differs stops the run.
+the same ``TrialStats``.  A canon case ``canon:ROUNDS:N:P:COUNT:SEED``
+times ``canon.canonical_rows`` on COUNT labeled G(N, P) graphs drawn
+from ``random.Random(SEED)``, and both trees must give the same rows.
+A round that differs stops the run.
 
 Every round is printed, then per case: its outputs (the stream's
-classes, the CLI's stdout lines, or the trials), each side's median,
-the parent's interquartile range, and the number of rounds the change
-was faster.
+classes, the CLI's stdout lines, the trials or the graphs), each side's
+median, the parent's interquartile range, and the number of rounds the
+change was faster.
 A case is "ok" when the change's median is lower than the parent's or
 above it by no more than the parent's IQR.  F is a pattern token
 (``k_4``, ``c_5``, a ``g6:`` line, ...).  The default cases are the
@@ -36,6 +41,7 @@ from __future__ import annotations
 import gc
 import importlib.util
 import io
+import random
 import statistics
 import sys
 import time
@@ -49,8 +55,8 @@ SIDES = ("parent", "change")
 
 def load(package_dir: str, name: str):
     """Import the satlab package at ``package_dir`` as ``name``, with its
-    ``search``, ``patterns``, ``cli`` and ``process`` modules, and return
-    it."""
+    ``search``, ``patterns``, ``cli``, ``process`` and ``canon`` modules,
+    and return it."""
     init = Path(package_dir) / "__init__.py"
     if not init.is_file():
         sys.exit(f"{package_dir}: not a package directory (no __init__.py)")
@@ -59,7 +65,7 @@ def load(package_dir: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("search", "patterns", "cli", "process"):
+    for sub in ("search", "patterns", "cli", "process", "canon"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -81,11 +87,33 @@ def timed(pkg, case: tuple) -> tuple[float, object, int]:
         stats = pkg.process.estimate_expected_count(*arg)
         elapsed = time.perf_counter() - t0
         return elapsed, tuple(stats), stats.trials
+    if n == "canon":
+        size, graphs = arg[0], random_labelings(*arg)
+        t0 = time.perf_counter()
+        rows = [pkg.canon.canonical_rows(g, size) for g in graphs]
+        elapsed = time.perf_counter() - t0
+        return elapsed, rows, len(rows)
     f = pkg.patterns.parse_pattern(arg)
     t0 = time.perf_counter()
     pairs = list(pkg.search.saturated_stream(n, f))
     elapsed = time.perf_counter() - t0
     return elapsed, [(g.rows, form) for g, form in pairs], len(pairs)
+
+
+def random_labelings(n: int, p: float, count: int, seed: int) -> list[tuple[int, ...]]:
+    """The rows of ``count`` labeled G(n, p) graphs, each pair an edge
+    with probability p, drawn in order from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        rows = [0] * n
+        for v in range(n):
+            for u in range(v):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        graphs.append(tuple(rows))
+    return graphs
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -97,14 +125,18 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
 
 def parse_case(text: str) -> tuple:
     """``N:F:ROUNDS`` as (n, F, rounds), ``cli:ROUNDS:ARGV`` as
-    ("cli", argv tuple, rounds), and ``expected:ROUNDS:N:F:H:TRIALS:SEED``
-    as ("expected", (n, F, H, trials, seed), rounds).  A ``g6:`` token
-    holds a colon itself, so n ends at the first colon and the rounds
-    start after the last one, and F ends at its first colon after any
-    ``g6:`` (graph6 data has no colon)."""
+    ("cli", argv tuple, rounds), ``expected:ROUNDS:N:F:H:TRIALS:SEED``
+    as ("expected", (n, F, H, trials, seed), rounds), and
+    ``canon:ROUNDS:N:P:COUNT:SEED`` as ("canon", (n, p, count, seed),
+    rounds).  A ``g6:`` token holds a colon itself, so n ends at the
+    first colon and the rounds start after the last one, and F ends at
+    its first colon after any ``g6:`` (graph6 data has no colon)."""
     if text.startswith("cli:"):
         rounds, argv = text[len("cli:"):].split(":", 1)
         return "cli", tuple(argv.split()), int(rounds)
+    if text.startswith("canon:"):
+        rounds, n, p, count, seed = text[len("canon:"):].split(":")
+        return "canon", (int(n), float(p), int(count), int(seed)), int(rounds)
     if text.startswith("expected:"):
         rounds, n, tokens = text[len("expected:"):].split(":", 2)
         tokens, trials, seed = tokens.rsplit(":", 2)
@@ -118,8 +150,8 @@ def parse_case(text: str) -> tuple:
 
 def case_label(case: tuple) -> str:
     n, arg, _ = case
-    if n == "expected":
-        return "expected:" + ":".join(map(str, arg))
+    if n in ("expected", "canon"):
+        return f"{n}:" + ":".join(map(str, arg))
     return "cli:" + " ".join(arg) if n == "cli" else f"n={n}:{arg}"
 
 
@@ -140,8 +172,8 @@ def main(argv: list[str]) -> int:
             for side in order:
                 results[side] = timed(trees[side], case)
             if results["parent"][1] != results["change"][1]:
-                what = {"cli": "stdout or exit code", "expected": "TrialStats"}.get(
-                    case[0], "streams")
+                what = {"cli": "stdout or exit code", "expected": "TrialStats",
+                        "canon": "canonical rows"}.get(case[0], "streams")
                 print(f"{label}: the two trees' {what} differ", file=sys.stderr)
                 return 1
             outputs[case] = results["parent"][2]
