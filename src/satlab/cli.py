@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import chain
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -23,7 +22,7 @@ from .errors import EmptyDomainError, Graph6ParseError, InputError, SatlabError
 from .graph6 import _graph6_lines, from_graph6, to_graph6
 from .graphs import Graph
 from .patterns import parse_pattern, pattern_graph
-from .process import TrialStats, run_ffree_process
+from .process import TrialStats, _check_trials, _trial_results, run_ffree_process
 from .saturation import _check_saturation_pattern, is_h_saturated, is_ks_saturated
 from .search import DEFAULT_EXTREMAL_CAP, count_pattern, min_count_over_saturated
 from .search import _check_n, _forbidden, saturated_classes
@@ -278,24 +277,24 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_process(args) -> int:
-    # one run per trial: each trace is counted, and written with
-    # --dump-traces, as it is produced
-    if args.trials < 1:
-        raise InputError(f"need trials >= 1, got {args.trials}")
-    h = parse_pattern(args.count)
+    # every argument is checked before the first trial and the file; a
+    # trial hands back its trace line (with --dump-traces) and its count,
+    # so no trace outlives its trial: one held through the next run
+    # slowed that run by a few percent at n = 120
     f = f"k_{args.s}"
-    runs = (run_ffree_process(args.n, f, args.seed + i) for i in range(args.trials))
-    runs = chain((next(runs),), runs)  # a bad --n or --s raises before the file is created
-    dump = open(args.dump_traces, "w", encoding="ascii") if args.dump_traces else nullcontext()
+    h = _check_trials(args.n, f, args.count, args.trials)
+    dumping = args.dump_traces is not None
+
+    def trial(i: int) -> tuple[str | None, int]:
+        trace = run_ffree_process(args.n, f, args.seed + i)
+        return trace.to_json() if dumping else None, count_pattern(trace.result, h)
+
     counts = []
-    with dump as fh:
-        for trace in runs:
+    with open(args.dump_traces, "w", encoding="ascii") if dumping else nullcontext() as fh:
+        for line, count in _trial_results(trial, args.trials):
             if fh is not None:
-                fh.write(trace.to_json() + "\n")
-            counts.append(count_pattern(trace.result, h))
-            # no trace outlives its trial: one held through the next run
-            # slowed that run by a few percent at n = 120
-            del trace
+                fh.write(line + "\n")
+            counts.append(count)
     print(TrialStats.from_counts(counts).to_json())
     return 0
 

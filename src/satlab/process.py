@@ -11,18 +11,25 @@ one permutation at once, in 128-bit lanes of one Python int
 closed pairs for F = K_4 (``_k4_free_greedy``), one clique search in
 the common neighbourhood for other cliques, and one containment search
 anchored on the new edge for a pattern F (``_ffree_greedy``).
+
+The trials of a multi-trial run are independent, so ``_trial_results``
+deals them round-robin to one forked worker per CPU the process may use
+(the calling process is worker 0), each pinned to its own CPU, and
+yields their results in trial order: the output does not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple, TypeVar
 
-from .counting import contains_subgraph
+from .counting import check_pattern_size, contains_subgraph
 from .errors import InputError
 from .graph6 import to_graph6
 from .graphs import Graph
@@ -32,6 +39,8 @@ from .search import _check_n, _forbidden_graph, count_pattern
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+_T = TypeVar("_T")
 
 
 class SplitMix64:
@@ -129,20 +138,39 @@ class ProcessTrace(NamedTuple):
         )
 
 
-def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
-    """One seeded run; the result is F-saturated by construction."""
+def _check_process(n: int, f: PatternSpec | str) -> tuple[PatternSpec, Graph | None]:
+    """The checks of one run's n and F: F as a spec, and as a graph
+    unless it is a clique (see ``search._forbidden_graph``)."""
     _check_n(n)
     f = _as_pattern(f)
     kind, value = f
     if kind == "clique" and value < 3:
         raise InputError(f"process needs clique order >= 3, got {value}")
-    fgraph = _forbidden_graph(f)
+    return f, _forbidden_graph(f)
+
+
+def _check_trials(n: int, f: PatternSpec | str, h: PatternSpec | str,
+                  trials: int) -> PatternSpec:
+    """Every check of a multi-trial run, made before any trial, fork or
+    file; returns the counted pattern H as a spec."""
+    if trials < 1:
+        raise InputError(f"need trials >= 1, got {trials}")
+    _check_process(n, f)
+    h = _as_pattern(h)
+    if h[0] == "graph":
+        check_pattern_size(h[1])
+    return h
+
+
+def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:
+    """One seeded run; the result is F-saturated by construction."""
+    f, fgraph = _check_process(n, f)
     pairs = _pairs(n)
     order = shuffled_pair_indices(n, seed)
     if f == ("clique", 4):
         rows, accepted = _k4_free_greedy(n, pairs, order)
     else:
-        rows, accepted = _ffree_greedy(n, value if fgraph is None else fgraph, pairs, order)
+        rows, accepted = _ffree_greedy(n, f[1] if fgraph is None else fgraph, pairs, order)
     return ProcessTrace(
         seed=seed,
         n=n,
@@ -197,29 +225,38 @@ def _k4_free_greedy(n: int, pairs: tuple[tuple[int, int], ...],
     Adding edges never removes a K_4, so every set bit stays true, and
     the masks are exact for the non-edges still to come.
     """
+    bit = _bits(n)
     rows = [0] * n
     closed = [0] * n
     accepted: list[tuple[int, int]] = []
-    for pi in order:
-        u, v = pairs[pi]
-        if closed[u] >> v & 1 or closed[v] >> u & 1:
+    for pair in map(pairs.__getitem__, order):
+        u, v = pair
+        if closed[u] & bit[v] or closed[v] & bit[u]:
             continue
         ru = rows[u]
         rv = rows[v]
-        common = m = ru & rv
-        reach = 0
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length() - 1
-            closed[w] |= common
-            reach |= rows[w]
-        closed[u] |= rv & reach
-        closed[v] |= ru & reach
-        rows[u] = ru | 1 << v
-        rows[v] = rv | 1 << u
-        accepted.append((u, v))
+        common = ru & rv
+        if common:
+            m = common
+            reach = 0
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
+                closed[w] |= common
+                reach |= rows[w]
+            closed[u] |= rv & reach
+            closed[v] |= ru & reach
+        rows[u] = ru | bit[v]
+        rows[v] = rv | bit[u]
+        accepted.append(pair)
     return rows, accepted
+
+
+@lru_cache(maxsize=1)
+def _bits(n: int) -> tuple[int, ...]:
+    """1 << v for v < n, kept for the trials of one n."""
+    return tuple(1 << v for v in range(n))
 
 
 class TrialStats(NamedTuple):
@@ -262,9 +299,111 @@ def estimate_expected_count(
     Trial i uses seed+i; see ``TrialStats.from_counts`` for the
     statistics.
     """
-    if trials < 1:
-        raise InputError(f"need trials >= 1, got {trials}")
-    h = _as_pattern(h)
-    return TrialStats.from_counts(
-        [count_pattern(run_ffree_process(n, f, seed + i).result, h) for i in range(trials)]
-    )
+    h = _check_trials(n, f, h, trials)
+    return TrialStats.from_counts(list(_trial_results(
+        lambda i: count_pattern(run_ffree_process(n, f, seed + i).result, h), trials)))
+
+
+def _trial_results(fn: Callable[[int], _T], trials: int,
+                   workers: int | None = None) -> Iterator[_T]:
+    """Yield ``fn(i)`` for i = 0..trials-1, in trial order.
+
+    Trial i runs on worker i mod k, with k = min(``workers``, trials).
+    ``workers`` defaults to the number of CPUs the process may use, or 1
+    where ``os.fork`` is missing or the process already runs other
+    threads.  Worker 0 is the calling process, pinned to the first of
+    those CPUs until the last trial; workers 1..k-1 are forked children,
+    each pinned to its own CPU (an unpinned child mostly stayed on the
+    parent's CPU).  A child streams one pickled ``(True, result)`` per
+    trial through its own pipe, or ``(False, exception)`` as its last
+    record, and ends with ``os._exit``, so it runs none of the caller's
+    cleanup.  Every path out of the generator kills and reaps the
+    children first, and a worker's exception is raised after that.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    if workers is None:
+        import threading
+
+        workers = len(cpus) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    k = min(workers, trials)
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+    mask = None
+    try:
+        if k > 1:
+            import gc
+            import pickle
+            import signal
+
+            if hasattr(os, "sched_setaffinity"):
+                mask = os.sched_getaffinity(0)
+                _pin(cpus[0])
+            gc.freeze()  # the children's collections then touch no inherited page
+            try:
+                for w in range(1, k):
+                    r, wfd = os.pipe()
+                    reader = open(r, "rb")
+                    pid = os.fork()
+                    if pid == 0:
+                        _worker(fn, range(w, trials, k), wfd,
+                                [reader] + [x for _, x in children],
+                                cpus[w % len(cpus)] if mask is not None else None)
+                    os.close(wfd)
+                    children.append((pid, reader))
+            finally:
+                gc.unfreeze()
+        for i in range(trials):
+            w = i % k
+            if w == 0:
+                yield fn(i)
+                continue
+            try:
+                ok, value = pickle.load(children[w - 1][1])
+            except EOFError:
+                ok, value = False, RuntimeError(f"trial worker {w} ended before trial {i}")
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
+
+
+def _worker(fn: Callable[[int], object], mine: range, wfd: int, readers: list[BinaryIO],
+            cpu: int | None) -> None:
+    """The body of a forked worker: the trials ``mine``, written to
+    ``wfd``; it closes the inherited ``readers`` and never returns.
+    Once its parent is gone, its next write fails (EPIPE) and it exits."""
+    import pickle
+
+    try:
+        for reader in readers:
+            reader.close()
+        if cpu is not None:
+            _pin(cpu)
+        with open(wfd, "wb") as out:
+            try:
+                for i in mine:
+                    out.write(pickle.dumps((True, fn(i)), pickle.HIGHEST_PROTOCOL))
+                    out.flush()
+            except BaseException as exc:  # forwarded: the parent raises it
+                try:
+                    record = pickle.dumps((False, exc))
+                    pickle.loads(record)
+                except Exception:  # an exception that does not survive pickling
+                    record = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                out.write(record)
+                out.flush()
+    finally:
+        os._exit(0)
+
+
+def _pin(cpu: int) -> None:
+    """Run the calling process on ``cpu`` only, where the system allows."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import sys
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -381,11 +382,17 @@ class TestProcess:
         assert json.loads(lines[0])["seed"] == 3
 
     def test_dump_runs_each_trial_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
+        # trials run in forked workers too, so each call is one line of a
+        # file that every process appends to
+        log = tmp_path / "calls.jsonl"
 
         def counted(*args):
-            calls.append(args)
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(json.dumps(args) + "\n")
             return run_ffree_process(*args)
+
+        def calls():
+            return sorted(tuple(json.loads(line)) for line in log.read_text().splitlines())
 
         # the library's binding too, so a rerun through estimate_expected_count counts
         monkeypatch.setattr(satlab.cli, "run_ffree_process", counted)
@@ -397,25 +404,50 @@ class TestProcess:
             "--count", "k_3", "--dump-traces", str(dump),
         )
         assert code == 0
-        assert len(calls) == 6
+        assert len(calls()) == 6
         assert dump.read_text() == "".join(
             run_ffree_process(12, "k_4", 11 + i).to_json() + "\n" for i in range(6)
         )
         stats = estimate_expected_count(12, "k_4", "k_3", 6, 11).to_json() + "\n"
         assert out == stats
         # the same loop without --dump-traces: the same runs and the same stats
-        calls.clear()
+        log.unlink()
         code, out, _ = run(
             capsys,
             "process", "--n", "12", "--s", "4", "--seed", "11", "--trials", "6",
             "--count", "k_3",
         )
         assert code == 0 and out == stats
-        assert calls == [(12, "k_4", 11 + i) for i in range(6)]
+        assert calls() == [(12, "k_4", 11 + i) for i in range(6)]
+
+    @pytest.mark.parametrize("s", ["3", "4", "5"])
+    def test_output_does_not_depend_on_workers(self, capsys, tmp_path, monkeypatch, s):
+        # trials = 1, fewer trials than workers, and many trials per worker
+        for trials in (1, 2, 50):
+            serial = [run_ffree_process(14, f"k_{s}", 7 + i) for i in range(trials)]
+            dump_ref = "".join(trace.to_json() + "\n" for trace in serial)
+            stats_ref = TrialStats.from_counts(
+                [satlab.search.count_pattern(trace.result, ("clique", 3)) for trace in serial])
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(satlab.cli, "_trial_results",
+                                    partial(satlab.process._trial_results, workers=workers))
+                dump = tmp_path / f"traces{trials}_{workers}.jsonl"
+                code, out, err = run(
+                    capsys, "process", "--n", "14", "--s", s, "--seed", "7",
+                    "--trials", str(trials), "--count", "k_3", "--dump-traces", str(dump),
+                )
+                assert (code, err) == (0, "")
+                assert out == stats_ref.to_json() + "\n"
+                assert dump.read_text() == dump_ref
+                code, out_plain, _ = run(
+                    capsys, "process", "--n", "14", "--s", s, "--seed", "7",
+                    "--trials", str(trials), "--count", "k_3",
+                )
+                assert code == 0 and out_plain == out
 
     def test_bad_dump_arguments_create_no_file(self, capsys, tmp_path):
         bad = (("--trials", "0"), ("--count", "bogus"), ("--count", "g6:Bx"), ("--s", "2"),
-               ("--n", "-1"))
+               ("--n", "-1"), ("--count", "g6:HhCGGE@"))
         for flag, value in bad:
             argv = {"--n": "8", "--s": "3", "--seed": "1", "--trials": "3"}
             argv[flag] = value

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import threading
+from functools import partial
 
 import pytest
 
+import satlab.process
 from satlab import (
     InputError,
     SplitMix64,
@@ -15,12 +19,16 @@ from satlab import (
     is_h_saturated,
     is_ks_saturated,
     pair_order,
+    parse_pattern,
     path,
     run_ffree_process,
     shuffled_pair_indices,
     star,
+    TrialStats,
 )
 from satlab.counting import check_pattern_size
+from satlab.process import _trial_results
+from satlab.search import count_pattern
 from oracles import unanchored_ffree_process
 
 # frozen outputs of the public-domain splitmix64 reference implementation
@@ -214,3 +222,119 @@ class TestStatistics:
         a = estimate_expected_count(7, "k_4", "k_1_2", 30, 5)
         b = estimate_expected_count(7, "k_4", "k_1_2", 30, 5)
         assert a == b
+
+
+class TestTrialRunner:
+    """``_trial_results`` deals trials to forked workers; its output must
+    not depend on the worker count, and no worker may outlive it."""
+
+    @staticmethod
+    def _no_children_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_trial_order(self, workers):
+        for trials in (1, 2, 7, 50):
+            assert list(_trial_results(lambda i: i * i, trials, workers)) == [
+                i * i for i in range(trials)]
+        self._no_children_left()
+
+    def test_workers_are_other_processes_pinned_to_one_cpu(self):
+        before = os.sched_getaffinity(0)
+        seen = list(_trial_results(lambda i: (os.getpid(), os.sched_getaffinity(0)), 6, 3))
+        assert [pid == os.getpid() for pid, _ in seen] == [True, False, False] * 2
+        assert len({pid for pid, _ in seen}) == 3
+        assert all(len(cpus) == 1 and cpus <= before for _, cpus in seen)
+        assert os.sched_getaffinity(0) == before
+        self._no_children_left()
+
+    def test_serial_while_other_threads_run(self):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            pids = set(_trial_results(lambda i: os.getpid(), 4))
+        finally:
+            stop.set()
+            thread.join()
+        assert pids == {os.getpid()}
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert set(_trial_results(lambda i: os.getpid(), 4)) == {os.getpid()}
+
+    def test_unpinned_without_setaffinity(self, monkeypatch):
+        before = os.sched_getaffinity(0)
+        monkeypatch.delattr(os, "sched_setaffinity")
+        seen = list(_trial_results(lambda i: (os.getpid(), os.sched_getaffinity(0)), 4, 2))
+        assert len({pid for pid, _ in seen}) == 2
+        assert all(cpus == before for _, cpus in seen)
+        self._no_children_left()
+
+    @pytest.mark.parametrize("trial", [1, 2, 4])  # worker 1, worker 2, worker 1
+    def test_worker_error_reaches_the_parent(self, trial):
+        def fn(i):
+            if i == trial:
+                raise InputError(f"trial {i} failed")
+            return i
+
+        before = os.sched_getaffinity(0)
+        with pytest.raises(InputError, match=f"^trial {trial} failed$"):
+            list(_trial_results(fn, 6, 3))
+        assert os.sched_getaffinity(0) == before
+        self._no_children_left()
+
+    def test_unpicklable_error_keeps_its_message(self):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def fn(i):
+            if i == 1:
+                raise Local("no pickle")
+            return i
+
+        with pytest.raises(RuntimeError, match="^Local: no pickle$"):
+            list(_trial_results(fn, 2, 2))
+        self._no_children_left()
+
+    def test_parent_interrupt_reaps_the_workers(self):
+        def fn(i):
+            if i == 2:
+                raise KeyboardInterrupt
+            return i
+
+        with pytest.raises(KeyboardInterrupt):
+            list(_trial_results(fn, 6, 2))
+        self._no_children_left()
+
+    def test_early_close_reaps_the_workers(self):
+        before = os.sched_getaffinity(0)
+        results = _trial_results(lambda i: run_ffree_process(40, "k_3", i).order, 9, 3)
+        assert next(results) == run_ffree_process(40, "k_3", 0).order
+        results.close()
+        assert os.sched_getaffinity(0) == before
+        self._no_children_left()
+
+    @pytest.mark.parametrize("f", ["k_3", "k_4", "k_5", "c_4", "g6:C^"])
+    def test_expected_count_does_not_depend_on_workers(self, monkeypatch, f):
+        h = parse_pattern("k_1_2")
+        for trials in (1, 2, 50):
+            serial = TrialStats.from_counts(
+                [count_pattern(run_ffree_process(12, f, 5 + i).result, h)
+                 for i in range(trials)])
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(satlab.process, "_trial_results",
+                                    partial(_trial_results, workers=workers))
+                assert estimate_expected_count(12, f, "k_1_2", trials, 5) == serial
+        self._no_children_left()
+
+    def test_checks_come_before_any_trial(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(satlab.process, "run_ffree_process", never)
+        for args in ((10, "k_3", "g6:HhCGGE@", 3), (10, "k_2", "k_2", 3),
+                     (-1, "k_3", "k_2", 3), (10, "k_3", "k_2", 0)):
+            with pytest.raises(InputError):
+                estimate_expected_count(*args, 1)
