@@ -16,12 +16,12 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .canon import canonical_form
-from .counting import BipartitePattern, check_pattern_size, count_cliques, count_cycles
+from .counting import check_pattern_size, count_cliques, count_cycles
 from .counting import count_embeddings, count_k4_minus, count_kab, count_stars
 from .errors import EmptyDomainError, Graph6ParseError, InputError, SatlabError
 from .graph6 import _graph6_lines, from_graph6, to_graph6
 from .graphs import Graph
-from .patterns import parse_pattern, pattern_graph
+from .patterns import PatternSpec, format_pattern, parse_pattern, pattern_graph
 from .process import TrialStats, _check_trials, _trial_results, run_ffree_process
 from .saturation import _check_saturation_pattern, is_h_saturated, is_ks_saturated
 from .search import DEFAULT_EXTREMAL_CAP, count_pattern, min_count_over_saturated
@@ -33,6 +33,19 @@ if TYPE_CHECKING:
     from .bounds import BoundReport
 
 _NON_ASSERTED_ROWS = {"kr_min_small_n"}
+
+#: selector value -> (the flags it reads, its pattern label over them or None)
+_COUNT_RULES = {
+    "star": (("t",), "k_1_{t}"),
+    "kab": (("a", "b"), "k_{a}_{b}"),
+    "clique": (("r",), "k_{r}"),
+    "cycle": (("r",), "c_{r}"),
+    "k4minus": ((), None),
+    "embed": (("g6",), None),
+}
+_CHECK_RULES = {"ks": (("s",), "k_{s}"), "pattern": (("pattern",), "{pattern}")}
+#: the key None stands for every other value: a pattern token
+_SEARCH_RULES = {"ks": (("s",), "k_{s}"), None: ((), "{f}")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,73 +166,73 @@ def _emit(text: str, path: str | None) -> None:
             f.write(text + "\n")
 
 
-def _reject_unread(args, flags: tuple[str, ...], reads, what: str) -> None:
-    """A usage error naming each of ``flags`` given but not in ``reads``."""
-    unread = [f"--{k}" for k in flags if getattr(args, k) is not None and k not in reads]
+def _rule_flags(table: dict) -> list[str]:
+    """Every flag that some value of the rule ``table`` reads, in order."""
+    return list(dict.fromkeys(k for reads, _ in table.values() for k in reads))
+
+
+def _flag_rule(args, selector: str, table: dict) -> PatternSpec | None:
+    """The one flag rule, applied before any input is read: the value of
+    ``--<selector>`` requires each flag its ``table`` entry reads and
+    rejects every other flag of the table; its label, formatted from the
+    flags, is parsed and returned as a spec.  A range error names the
+    flags as typed, except a flag whose value is the label itself,
+    which the parser quotes.  A value with no entry is left to its
+    command."""
+    value = getattr(args, selector)
+    rule = table.get(value, table.get(None))
+    if rule is None:
+        return None
+    reads, label = rule
+    missing = [f"--{k}" for k in reads if getattr(args, k) is None]
+    if missing:
+        raise InputError(f"--{selector} {value} requires {', '.join(missing)}")
+    unread = [f"--{k}" for k in _rule_flags(table)
+              if k not in reads and getattr(args, k) is not None]
     if unread:
-        raise InputError(f"{what} does not take {', '.join(unread)}")
+        raise InputError(f"--{selector} {value} does not take {', '.join(unread)}")
+    if label is None:
+        return None
+    try:
+        return parse_pattern(label.format_map(vars(args)))
+    except InputError as exc:
+        typed = " ".join(f"--{k} {getattr(args, k)}" for k in reads if label != f"{{{k}}}")
+        if not typed:
+            raise
+        raise InputError(f"{typed}: {exc}") from exc
 
 
 def _cmd_construct(args) -> int:
     from .families import _FAMILY_TABLE, FamilySpec, make
 
-    flags = ("n", "s", "a", "b")
-    if args.family in _FAMILY_TABLE:
-        _reject_unread(args, flags, _FAMILY_TABLE[args.family][1], f"--family {args.family}")
-    params = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
-    g = make(FamilySpec(args.family, params))
-    _emit(to_graph6(g), args.output)
+    table = {family: (names, None) for family, (_, names) in _FAMILY_TABLE.items()}
+    _flag_rule(args, "family", table)
+    params = {k: getattr(args, k) for k in _rule_flags(table) if getattr(args, k) is not None}
+    _emit(to_graph6(make(FamilySpec(args.family, params))), args.output)
     return 0
 
 
 def _cmd_count(args) -> int:
-    read = {"g6"} if args.pattern == "embed" else set()
-
-    def need(name: str) -> int:
-        read.add(name)
-        value = getattr(args, name)
-        if value is None:
-            raise InputError(f"--pattern {args.pattern} requires --{name}")
-        return value
-
+    spec = _flag_rule(args, "pattern", _COUNT_RULES)
+    label = format_pattern(spec) if spec else args.pattern
     if args.pattern == "star":
-        t = need("t")
-        label, counter = f"k_1_{t}", lambda g: count_stars(g, t)
+        counter = lambda g: count_stars(g, args.t)
     elif args.pattern == "kab":
-        a, b = need("a"), need("b")
-        pat = BipartitePattern(a, b)
-        label, counter = f"k_{pat.a}_{pat.b}", lambda g: count_kab(g, pat)
+        counter = lambda g: count_kab(g, spec[1])
     elif args.pattern == "clique":
-        r = need("r")
-        label, counter = f"k_{r}", lambda g: count_cliques(g, r)
+        counter = lambda g: count_cliques(g, args.r)
     elif args.pattern == "cycle":
-        r = need("r")
-        label, counter = f"c_{r}", lambda g: count_cycles(g, r)
+        counter = lambda g: count_cycles(g, args.r)
     elif args.pattern == "k4minus":
-        label, counter = "k4minus", count_k4_minus
+        counter = count_k4_minus
     else:
-        if not args.g6:
-            raise InputError("--pattern embed requires --g6 <graph6>")
         try:
             pat = from_graph6(args.g6)
         except ValueError as exc:
             raise InputError(f"bad --g6 {args.g6!r}: {exc}") from exc
         check_pattern_size(pat)
         label, counter = f"g6:{args.g6}", lambda g: count_embeddings(g, pat)
-    _reject_unread(args, ("t", "a", "b", "r", "g6"), read, f"--pattern {args.pattern}")
-    if args.pattern in ("star", "clique", "cycle"):
-        name = "t" if args.pattern == "star" else "r"
-        _check_range(name, getattr(args, name), label)
     return _print_per_graph(args.input, label, lambda g: {"count": counter(g)})
-
-
-def _check_range(name: str, value: int, label: str) -> None:
-    """The range rule of ``--<name> <value>`` (its pattern ``label``'s),
-    before any input is read, naming the flag the user typed."""
-    try:
-        parse_pattern(label)
-    except InputError as exc:
-        raise InputError(f"--{name} {value}: {exc}") from exc
 
 
 def _report_json(report) -> dict:
@@ -234,32 +247,18 @@ def _report_json(report) -> dict:
 
 
 def _cmd_check(args) -> int:
+    spec = _flag_rule(args, "sat", _CHECK_RULES)
     if args.sat == "ks":
-        if args.pattern is not None:
-            raise InputError("--pattern applies only to --sat pattern")
-        if args.s is None:
-            raise InputError("--sat ks requires --s")
-        label, verdict = f"k_{args.s}", lambda g: is_ks_saturated(g, args.s)
-        _check_range("s", args.s, label)
+        label, verdict = format_pattern(spec), lambda g: is_ks_saturated(g, args.s)
     else:
-        if args.s is not None:
-            raise InputError("--s applies only to --sat ks")
-        if not args.pattern:
-            raise InputError("--sat pattern requires --pattern")
-        h = pattern_graph(parse_pattern(args.pattern))
+        h = pattern_graph(spec)
         _check_saturation_pattern(h)
         label, verdict = args.pattern, lambda g: is_h_saturated(g, h)
     return _print_per_graph(args.input, label, lambda g: _report_json(verdict(g)))
 
 
 def _cmd_search(args) -> int:
-    f = args.f
-    if f == "ks":
-        if args.s is None:
-            raise InputError("--f ks requires --s")
-        f = f"k_{args.s}"
-    elif args.s is not None:
-        raise InputError("--s applies only to --f ks")
+    f = _flag_rule(args, "f", _SEARCH_RULES)
     shard = None
     if args.shard:
         try:

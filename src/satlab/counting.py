@@ -143,9 +143,10 @@ def count_cliques(g: Graph, r: int) -> int:
 
 
 def count_cycles(g: Graph, r: int) -> int:
-    """Number of r-cycles as subgraphs, each counted once, for 3 <= r <= 8."""
-    if not 3 <= r <= 8:
-        raise InputError(f"cycle length must be in 3..8, got r={r}")
+    """Number of r-cycles as subgraphs, each counted once, for
+    3 <= r <= MAX_PATTERN_VERTICES."""
+    if not 3 <= r <= MAX_PATTERN_VERTICES:
+        raise InputError(f"cycle length must be in 3..{MAX_PATTERN_VERTICES}, got r={r}")
     rows = g.rows
     total = 0
     # anchor each cycle at its smallest vertex; paths stay above the anchor

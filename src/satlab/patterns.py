@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from .counting import MAX_PATTERN_VERTICES, BipartitePattern
+from .counting import MAX_PATTERN_VERTICES, BipartitePattern, check_pattern_size
 from .errors import Graph6ParseError, InputError
 from .graph6 import from_graph6, to_graph6
 from .graphs import Graph
@@ -50,6 +50,17 @@ def parse_pattern(text: str) -> PatternSpec:
 def _as_pattern(p: PatternSpec | str) -> PatternSpec:
     """A pattern given either as a token or as a parsed spec."""
     return parse_pattern(p) if isinstance(p, str) else p
+
+
+def _as_counted(h: PatternSpec | str) -> PatternSpec:
+    """A counted pattern H as a spec, checked before any work: an
+    explicit graph is counted by embedding, which has the
+    ``MAX_PATTERN_VERTICES`` cap (the other kinds are counted without
+    one, or capped by the parser)."""
+    h = _as_pattern(h)
+    if h[0] == "graph":
+        check_pattern_size(h[1])
+    return h
 
 
 def format_pattern(p: PatternSpec) -> str:

@@ -29,11 +29,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import BinaryIO, Callable, Iterator, NamedTuple, TypeVar
 
-from .counting import check_pattern_size, contains_subgraph
+from .counting import contains_subgraph
 from .errors import InputError
 from .graph6 import to_graph6
 from .graphs import Graph
-from .patterns import PatternSpec, _as_pattern, format_pattern
+from .patterns import PatternSpec, _as_counted, _as_pattern, format_pattern
 from .saturation import _find_clique
 from .search import _check_n, _forbidden_graph, count_pattern
 
@@ -156,10 +156,7 @@ def _check_trials(n: int, f: PatternSpec | str, h: PatternSpec | str,
     if trials < 1:
         raise InputError(f"need trials >= 1, got {trials}")
     _check_process(n, f)
-    h = _as_pattern(h)
-    if h[0] == "graph":
-        check_pattern_size(h[1])
-    return h
+    return _as_counted(h)
 
 
 def run_ffree_process(n: int, f: PatternSpec | str, seed: int) -> ProcessTrace:

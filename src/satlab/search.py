@@ -31,7 +31,7 @@ from .errors import EmptyDomainError, InputError
 # from_graph6 is unused here but kept: perfbench/tracer.py binds satlab.search.from_graph6
 from .graph6 import column, from_graph6, to_graph6
 from .graphs import Graph, bits_of
-from .patterns import PatternSpec, _as_pattern, format_pattern, pattern_graph
+from .patterns import PatternSpec, _as_counted, _as_pattern, format_pattern, pattern_graph
 from .saturation import _check_saturation_pattern, _find_clique, _uncompleted_non_edges
 from .saturation import is_h_saturated, is_ks_saturated
 
@@ -434,7 +434,7 @@ def min_count_over_saturated(
     residue i mod k; shard records merge back with ``merge_records``.
     """
     _check_extremal_cap(max_extremal)
-    h, f = _as_pattern(h), _as_pattern(f)
+    h, f = _as_counted(h), _as_pattern(f)
     if shard is not None:
         idx, total = shard
         if not (total >= 1 and 0 <= idx < total):
@@ -536,7 +536,7 @@ def brute_force_labeled(
     """
     _check_extremal_cap(max_extremal)
     _check_n(n, 7, "labeled brute force")
-    h, f = _as_pattern(h), _as_pattern(f)
+    h, f = _as_counted(h), _as_pattern(f)
     *_, saturated = _forbidden(f)
     cache: dict[tuple[int, ...], int] = {}
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -108,8 +109,9 @@ class TestCheck:
         assert json.loads(out)["is_saturated"]
 
     @pytest.mark.parametrize("flags,message", [
-        (("--sat", "ks", "--s", "3", "--pattern", "c_4"), "--pattern applies only to --sat pattern"),
-        (("--sat", "pattern", "--pattern", "k_3", "--s", "3"), "--s applies only to --sat ks"),
+        (("--sat", "ks", "--s", "3", "--pattern", "c_4"), "--sat ks does not take --pattern"),
+        (("--sat", "pattern", "--pattern", "k_3", "--s", "3"),
+         "--sat pattern does not take --s"),
     ], ids=["ks_with_pattern", "pattern_with_s"])
     def test_flag_of_the_other_kind_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                                    flags, message):
@@ -215,7 +217,7 @@ class TestSearch:
             capsys, "search", "--n", "5", "--h", "k_2", "--f", "k_3", "--s", "4"
         )
         assert code == 2 and out == ""
-        assert "--s applies only to --f ks" in err
+        assert "--f k_3 does not take --s" in err
 
     @pytest.mark.parametrize("f", ["k_3", "c_4"])
     def test_negative_n_is_usage_error(self, capsys, f):
@@ -338,6 +340,15 @@ class TestFlagsBeforeInput:
         (("count", "--pattern", "k4minus", "--r", "4"), "--pattern k4minus does not take --r"),
         (("count", "--pattern", "embed", "--g6", "Bw", "--t", "2"),
          "--pattern embed does not take --t"),
+        (("search", "--n", "5", "--h", "k_2", "--f", "ks", "--s", "0"),
+         "error: --s 0: bad pattern 'k_0': clique order must be >= 1"),
+        (("count", "--pattern", "kab", "--a", "0", "--b", "2"),
+         "--a 0 --b 2: bad pattern 'k_0_2': pattern sides must be >= 1"),
+        (("count", "--pattern", "embed", "--g6", ""),
+         "bad --g6 '': empty graph6 string (at byte offset 0)"),
+        # H is checked before the search runs, not when the first class is counted
+        (("search", "--n", "11", "--h", "g6:HhCGGC@", "--f", "k_3"),
+         "pattern has 9 vertices, beyond the 8 cap"),
     ], ids=["check_ks_no_s", "check_no_pattern", "check_bad_pattern", "check_edgeless",
             "count_star", "count_kab", "count_clique", "count_cycle", "count_embed",
             "search_bad_h", "search_bad_f", "search_edgeless_f", "search_negative_n",
@@ -345,7 +356,8 @@ class TestFlagsBeforeInput:
             "count_cycle_r9", "count_embed_9_vertices", "search_empty_g6_f",
             "check_bad_g6_pattern", "check_bad_g6_header_pattern", "count_bad_g6",
             "count_star_unread", "count_kab_unread", "count_cycle_unread",
-            "count_k4minus_unread", "count_embed_unread"])
+            "count_k4minus_unread", "count_embed_unread", "search_ks_s0", "count_kab_a0",
+            "count_empty_g6", "search_nine_vertex_h"])
     def test_usage_error_before_missing_input(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "-i", "/nonexistent.g6")
         assert code == 2 and out == ""
@@ -358,12 +370,38 @@ class TestFlagsBeforeInput:
          "--family ehm does not take --a"),
         (("--family", "complete_bipartite", "--a", "2", "--b", "3", "--n", "5"),
          "--family complete_bipartite does not take --n"),
-    ], ids=["petersen", "ehm", "complete_bipartite"])
+        (("--family", "ehm", "--n", "6"), "--family ehm requires --s"),
+    ], ids=["petersen", "ehm", "complete_bipartite", "ehm_without_s"])
     def test_construct_rejects_unread_flags(self, capsys, tmp_path, argv, message):
         target = tmp_path / "g.g6"
         code, out, err = run(capsys, "construct", *argv, "-o", str(target))
         assert code == 2 and out == "" and message in err
         assert not target.exists()
+
+    def test_every_flag_of_a_selector_command_is_in_its_rule(self, monkeypatch):
+        # a flag outside the rule's set would reach its command unchecked
+        class Checked(Exception):
+            pass
+
+        seen = {}
+
+        def spy(args, selector, table):
+            seen[args.subcommand] = (selector, set(satlab.cli._rule_flags(table)))
+            raise Checked
+
+        monkeypatch.setattr(satlab.cli, "_flag_rule", spy)
+        for argv in (("construct", "--family", "petersen"), ("count", "--pattern", "k4minus"),
+                     ("check", "--sat", "ks"), ("search", "--n", "3", "--h", "k_2", "--f", "k_3")):
+            with pytest.raises(Checked):
+                main(list(argv))
+        assert set(seen) == {"construct", "count", "check", "search"}
+        commands = next(a for a in satlab.cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        exempt = {"help", "input", "output", "shard", "max_extremal"}
+        for name, (selector, flags) in seen.items():
+            defined = {a.dest for a in commands[name]._actions
+                       if a.option_strings and not a.required} - exempt - {selector}
+            assert defined == flags, name
 
 
 class TestProcess:

@@ -175,6 +175,12 @@ class TestCycles:
         with pytest.raises(InputError):
             count_cycles(cycle(5), 9)
 
+    def test_range_is_the_pattern_cap(self, monkeypatch):
+        with pytest.raises(InputError, match=r"must be in 3\.\.8, got r=2"):
+            count_cycles(cycle(5), 2)
+        monkeypatch.setattr(counting, "MAX_PATTERN_VERTICES", 9)
+        assert count_cycles(cycle(9), 9) == 1
+
     def test_matches_oracle(self, small_random_graphs):
         for g in small_random_graphs[:25]:
             for r in (3, 4, 5):

@@ -5,6 +5,8 @@ import hashlib
 import networkx as nx
 import pytest
 
+import satlab.process
+import satlab.search
 from satlab import (
     EmptyDomainError,
     InputError,
@@ -17,6 +19,7 @@ from satlab import (
     cycle,
     ehm_graph,
     enumerate_graphs,
+    estimate_expected_count,
     from_graph6,
     merge_records,
     min_count_over_saturated,
@@ -424,6 +427,25 @@ class TestOneRuleForF:
             with pytest.raises(InputError) as raised:
                 call()
             assert str(raised.value) == message
+
+    def test_counted_pattern_is_checked_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before H was checked")
+
+        monkeypatch.setattr(satlab.search, "_enumerate", no_work)
+        monkeypatch.setattr(satlab.search, "saturated_classes", no_work)
+        monkeypatch.setattr(satlab.search, "_labeled_rows", no_work)
+        monkeypatch.setattr(satlab.process, "_trial_results", no_work)
+        h = "g6:HhCGGC@"  # 9 vertices
+        for call in (
+            lambda: min_count_over_saturated(11, h, "k_3"),
+            lambda: min_count_over_saturated(5, h, "k_3", source=iter(())),
+            lambda: brute_force_labeled(5, h, "k_3"),
+            lambda: estimate_expected_count(5, "k_3", h, 2, 0),
+        ):
+            with pytest.raises(InputError) as raised:
+                call()
+            assert str(raised.value) == "pattern has 9 vertices, beyond the 8 cap"
 
     @pytest.mark.parametrize("f", ["k_3", "c_4"])
     def test_negative_n_is_an_input_error(self, f):
